@@ -18,7 +18,6 @@ from .gauge import (
     GeneratorBlowup,
     active_indices,
     active_set,
-    dual_feasibility,
     enumerate_faces,
     generators,
     pen_eval,
@@ -99,12 +98,12 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
     beta = as_vector(beta)
     pen_beta = pen_eval(spec, beta)
     target = x @ beta
-    sol, extract = _fiber_min_lp(spec, x, target)
+    sol = _fiber_min_lp(spec, x, target)
     if sol.status != linprog.OPTIMAL:
         raise RuntimeError(f"accessibility LP returned status {sol.status}")
     value = float(sol.value)
     margin = value - pen_beta
-    witness = extract(sol.x)
+    witness = sol.x[: x.shape[1]].copy()
     return ConditionReport(
         verdict=margin >= -1e-7,
         margin=margin,
@@ -117,50 +116,29 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
     )
 
 
-def _fiber_min_lp(spec: GaugeSpec, x, target):
-    """LP for min pen(b) s.t. Xb = target; returns (solution, b-extractor)."""
+def _fiber_min_lp(spec: GaugeSpec, x, target) -> linprog.LpSolution:
+    """LP for min pen(b) s.t. Xb = target; b is the first p solution entries."""
     n, p = x.shape
-    if spec.kind == "l1":
-        # vars [b, s]: min sum s, +-b <= s
-        c = np.concatenate([np.zeros(p), np.ones(p)])
-        a_eq = np.hstack([x, np.zeros((n, p))])
-        a_le = np.vstack(
-            [
-                np.hstack([np.eye(p), -np.eye(p)]),
-                np.hstack([-np.eye(p), -np.eye(p)]),
-            ]
-        )
-        b_le = np.zeros(2 * p)
-        bounds = [(None, None)] * p + [(0.0, None)] * p
-    elif spec.kind == "sup":
-        # vars [b, t]: min t, +-b <= t
-        c = np.concatenate([np.zeros(p), [1.0]])
-        a_eq = np.hstack([x, np.zeros((n, 1))])
-        ones = np.ones((p, 1))
-        a_le = np.vstack(
-            [
-                np.hstack([np.eye(p), -ones]),
-                np.hstack([-np.eye(p), -ones]),
-            ]
-        )
-        b_le = np.zeros(2 * p)
-        bounds = [(None, None)] * p + [(0.0, None)]
-    elif spec.kind == "genlasso":
-        m = spec.d.shape[0]
+    if spec.kind == "sup":
+        return _min_linf_lp(x, target)
+    if spec.kind == "slope":
+        if p > 10:
+            raise ValueError("slope accessibility epigraph supported for p <= 10")
+        return _slope_fiber_lp(spec, x, target)
+    if spec.kind in ("l1", "genlasso"):
+        # vars [b, s]: min sum s, +-D b <= s (D = I for l1)
+        d = np.eye(p) if spec.kind == "l1" else spec.d
+        m = d.shape[0]
         c = np.concatenate([np.zeros(p), np.ones(m)])
         a_eq = np.hstack([x, np.zeros((n, m))])
         a_le = np.vstack(
             [
-                np.hstack([spec.d, -np.eye(m)]),
-                np.hstack([-spec.d, -np.eye(m)]),
+                np.hstack([d, -np.eye(m)]),
+                np.hstack([-d, -np.eye(m)]),
             ]
         )
         b_le = np.zeros(2 * m)
         bounds = [(None, None)] * p + [(0.0, None)] * m
-    elif spec.kind == "slope":
-        if p > 10:
-            raise ValueError("slope accessibility epigraph supported for p <= 10")
-        return _slope_fiber_lp(spec, x, target)
     else:
         u = generators(spec)
         k = u.shape[0]
@@ -171,10 +149,9 @@ def _fiber_min_lp(spec: GaugeSpec, x, target):
         a_le = np.hstack([u, -np.ones((k, 1))])
         b_le = np.zeros(k)
         bounds = [(None, None)] * p + [(None, None)]
-    sol = linprog.lp_solve(
+    return linprog.lp_solve(
         linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=b_le, bounds=bounds)
     )
-    return sol, (lambda z: z[:p].copy())
 
 
 def _slope_fiber_lp(spec: GaugeSpec, x, target):
@@ -234,7 +211,7 @@ def _slope_fiber_lp(spec: GaugeSpec, x, target):
         + [(0.0, None)] * nv
         + [(None, None)] * p
     )
-    sol = linprog.lp_solve(
+    return linprog.lp_solve(
         linprog.LpProblem(
             c,
             a_eq=a_eq,
@@ -244,7 +221,6 @@ def _slope_fiber_lp(spec: GaugeSpec, x, target):
             bounds=bounds,
         )
     )
-    return sol, (lambda z: z[:p].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +336,12 @@ def check_nrc_sup(x, beta) -> ConditionReport:
 
 
 def zero_threshold(spec: GaugeSpec, x, y) -> float:
-    """Smallest lambda at which 0 is a minimizer (dual gauge of X'y).
+    """Smallest lambda at which 0 is a minimizer: the dual gauge of X'y,
+    min {t : X'y in t B*}, infinite when no t works.
 
-    Closed form for l1/sup/slope; bisection on the dual-ball margin for
-    genlasso/custom (may be infinite when X'y never enters the scaled
-    dual ball, e.g. outside col(D') for the generalized lasso).
+    Closed form for l1/sup/slope; one LP for genlasso, min ||z||_inf s.t.
+    D'z = X'y, and for custom, min 1'gamma s.t. U'gamma = X'y, gamma >= 0
+    (u_1 = 0 makes t conv(U) = {U'gamma : gamma >= 0, 1'gamma <= t}).
     """
     v = as_matrix(x).T @ as_vector(y)
     if spec.kind == "l1":
@@ -374,24 +351,18 @@ def zero_threshold(spec: GaugeSpec, x, y) -> float:
     if spec.kind == "slope":
         a = np.sort(np.abs(v))[::-1]
         return float(np.max(np.cumsum(a) / np.cumsum(np.asarray(spec.weights))))
-    norm_v = float(np.max(np.abs(v), initial=0.0))
-    if norm_v == 0.0:
-        return 0.0
-    hi = max(norm_v, 1.0)
-    for _ in range(80):
-        if dual_feasibility(spec, v / hi) <= 0:
-            break
-        hi *= 2.0
-    else:
+    if spec.kind == "genlasso":
+        try:
+            return min_linf_representation(spec.d.T, v)
+        except InfeasibleTarget:
+            return float("inf")
+    k = spec.u.shape[0]
+    sol = linprog.lp_solve(
+        linprog.LpProblem(np.ones(k), a_eq=spec.u.T, b_eq=v, bounds=[(0.0, None)] * k)
+    )
+    if sol.status == linprog.INFEASIBLE:
         return float("inf")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == 0.0 or dual_feasibility(spec, v / mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(sol.value)
 
 
 def check_nrc_path(
@@ -461,8 +432,16 @@ def min_linf_representation(x, target) -> float:
 
     Raises InfeasibleTarget when target is outside col(X).
     """
-    x = as_matrix(x)
-    target = as_vector(target)
+    sol = _min_linf_lp(as_matrix(x), as_vector(target))
+    if sol.status == linprog.INFEASIBLE:
+        raise InfeasibleTarget("target vector is outside the column space of X")
+    if sol.status != linprog.OPTIMAL:
+        raise RuntimeError(f"representation LP returned status {sol.status}")
+    return float(sol.value)
+
+
+def _min_linf_lp(x: np.ndarray, target: np.ndarray) -> linprog.LpSolution:
+    """LP for min ||gamma||_inf s.t. X gamma = target; vars [gamma, t]."""
     n, p = x.shape
     c = np.concatenate([np.zeros(p), [1.0]])
     a_eq = np.hstack([x, np.zeros((n, 1))])
@@ -470,14 +449,9 @@ def min_linf_representation(x, target) -> float:
     a_le = np.vstack([np.hstack([np.eye(p), -ones]), np.hstack([-np.eye(p), -ones])])
     b_le = np.zeros(2 * p)
     bounds = [(None, None)] * p + [(0.0, None)]
-    sol = linprog.lp_solve(
+    return linprog.lp_solve(
         linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=b_le, bounds=bounds)
     )
-    if sol.status == linprog.INFEASIBLE:
-        raise InfeasibleTarget("target vector is outside the column space of X")
-    if sol.status != linprog.OPTIMAL:
-        raise RuntimeError(f"representation LP returned status {sol.status}")
-    return float(sol.value)
 
 
 def check_uniform_uniqueness(

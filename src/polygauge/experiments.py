@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditions import check_nrc_sup, min_linf_representation, zero_threshold
+from .conditions import InfeasibleTarget, check_nrc_sup, min_linf_representation, zero_threshold
 from .gauge import GaugeSpec, active_set
+from .linprog import NumericalFailure
 from .numerics import as_matrix, as_vector
 from .solvers import SolveOptions, solve
 from .threshold import threshold_sup
@@ -79,7 +80,7 @@ def _sweep_one(args) -> tuple:
         accessible = val >= 1.0 - 1e-6
         nrc = check_nrc_sup(x, beta).verdict
         return (accessible, nrc, False)
-    except Exception:
+    except (NumericalFailure, InfeasibleTarget, np.linalg.LinAlgError):
         return (False, False, True)
 
 
@@ -89,8 +90,9 @@ def run_accessibility_sweep(config: ExperimentConfig) -> list:
     Per replication, a fresh Gaussian design with variance 1/n entries is
     drawn, the first p-k components of the probe pattern are maximal with
     positive sign; accessibility is min ||gamma||_inf = 1 for the summed
-    maximal columns, NRC via the analytic sup-norm test.  LP failures are
-    counted and excluded from the denominator.
+    maximal columns, NRC via the analytic sup-norm test.  Numerical
+    failures (NumericalFailure, InfeasibleTarget, LinAlgError) are counted
+    and excluded from the denominator; any other error propagates.
     """
     rows = []
     for k in config.k_values:

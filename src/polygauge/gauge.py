@@ -238,7 +238,9 @@ def dual_feasibility(spec: GaugeSpec, s) -> float:
     """Membership margin for s in B*: margin <= 0 iff s is a member.
 
     Closed forms for l1/sup/slope are signed; genlasso/custom return the
-    sup-norm distance to B* via an LP (0 inside, positive outside).
+    sup-norm distance to B* via an LP, positive outside.  Inside B* that
+    LP value is round-off, about 1e-16 rather than 0, so callers compare
+    it with a tolerance, never with <= 0.
     """
     s = as_vector(s)
     if s.shape[0] != spec.p:

@@ -1,9 +1,12 @@
 """Minimizers of the gauge-penalized least-squares objective.
 
 Accelerated proximal gradient (with backtracking, periodic restarts and a
-monotone safeguard) handles the prox-friendly penalties (l1, slope, sup);
-operator splitting with residual-balanced penalty parameter handles
-generalized-lasso and custom gauges.  Convergence is declared on the KKT
+monotone safeguard) handles the prox-friendly penalties (l1, slope, sup).
+Generalized-lasso and custom gauges share one ADMM on the split z = M b,
+with M = D and M = U (the generator matrix) respectively, and a residual-
+balanced penalty parameter.  Its z-prox is exact: soft thresholding for
+||z||_1, and v - (projection of v onto the t-simplex) for t * max(z), since
+pen(b) = max(U b) with u_1 = 0.  Convergence is declared on the KKT
 residual of the dual certificate g = X'(y - X beta)/lambda, never on
 iterate change: the downstream condition checkers reason about exact
 minimizers, so certification must be dual-based.
@@ -47,8 +50,8 @@ def prox_l1(v, t: float) -> np.ndarray:
 
 
 def _simplex_threshold(a: np.ndarray, radius: float) -> float:
-    """Duchi pivot: theta with sum(max(a - theta, 0)) = radius (assumes
-    sum(a) > radius >= 0, a >= 0)."""
+    """Duchi pivot: theta with sum(max(a - theta, 0)) = radius (any real
+    a, radius > 0)."""
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     idx = np.arange(1, a.size + 1)
@@ -58,19 +61,20 @@ def _simplex_threshold(a: np.ndarray, radius: float) -> float:
 
 
 def project_simplex(a, radius: float) -> np.ndarray:
-    """Euclidean projection of a onto {w >= 0, sum(w) = radius}."""
+    """Euclidean projection of a onto {w >= 0, sum(w) = radius}; any real a
+    works when radius > 0."""
     a = as_vector(a)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius == 0:
         return np.zeros_like(a)
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, a.size + 1)
-    cond = u - (css - radius) / idx > 0
-    rho = int(idx[cond][-1])
-    theta = (css[rho - 1] - radius) / rho
-    return np.maximum(a - theta, 0.0)
+    return np.maximum(a - _simplex_threshold(a, radius), 0.0)
+
+
+def _prox_max(v, t: float) -> np.ndarray:
+    """Exact prox of t * max(.): Moreau's identity, the conjugate of max
+    being the indicator of the unit simplex."""
+    return v - project_simplex(v, t)
 
 
 def project_l1_ball(v, radius: float) -> np.ndarray:
@@ -245,8 +249,7 @@ def solve(
                 "ker(X) and ker(D) intersect nontrivially: minimizer set is unbounded",
                 RuntimeWarning,
             )
-        return _admm(spec, x, y, lam, opts, start, split="d")
-    return _admm(spec, x, y, lam, opts, start, split="identity")
+    return _admm(spec, x, y, lam, opts, start)
 
 
 def _objective(spec, x, y, lam, b):
@@ -313,14 +316,15 @@ def _backtrack_step(spec, x, y, lam, z, step, prox):
         step *= 0.5
 
 
-def _admm(spec, x, y, lam, opts, start, split: str):
-    """Operator splitting: z = D b (genlasso) or z = b (custom gauges).
+def _admm(spec, x, y, lam, opts, start):
+    """Operator splitting on z = M b: M = D with the prox of t*||.||_1
+    (genlasso), M = U with the prox of t*max(.) (custom gauges).
 
     rho starts at 1 and is rebalanced by factor 2 every 25 iterations when
     primal and dual residuals drift apart by more than 10x.
     """
     p = x.shape[1]
-    d = spec.d if split == "d" else np.eye(p)
+    d, prox = (spec.d, prox_l1) if spec.kind == "genlasso" else (spec.u, _prox_max)
     m = d.shape[0]
     xtx = x.T @ x
     xty = x.T @ y
@@ -330,9 +334,6 @@ def _admm(spec, x, y, lam, opts, start, split: str):
     beta = np.zeros(p) if start is None else as_vector(start).copy()
     z = d @ beta
     dual_u = np.zeros(m)
-    if split == "identity":
-        u_gens = np.asarray(spec.u, dtype=float)
-        lip_u = max(_spectral_norm_sq(u_gens.T), 1e-12)
     trace = [_objective(spec, x, y, lam, beta)]
     best = (np.inf, beta.copy(), 0)
     it = 0
@@ -342,10 +343,7 @@ def _admm(spec, x, y, lam, opts, start, split: str):
         rhs = xty + rho * (d.T @ (z - dual_u))
         beta = solve_mat(rhs)
         db = d @ beta
-        if split == "d":
-            z_new = prox_l1(db + dual_u, lam / rho)
-        else:
-            z_new = _prox_custom(spec, db + dual_u, lam / rho, u_gens, lip_u)
+        z_new = prox(db + dual_u, lam / rho)
         r_primal = float(np.linalg.norm(db - z_new))
         r_dual = float(np.linalg.norm(rho * (d.T @ (z_new - z))))
         dual_u = dual_u + db - z_new
@@ -380,43 +378,6 @@ def _factorize(a: np.ndarray):
     except np.linalg.LinAlgError:
         inv = np.linalg.pinv(a)
     return lambda rhs: inv @ rhs
-
-
-def _prox_custom(spec, v, t, u_gens, lip_u):
-    """Prox of t*pen for an explicit generator gauge.
-
-    Moreau: v minus the projection onto t*B*; the projection is an inner
-    accelerated projected-gradient solve over convex weights gamma with
-    gamma >= 0 and sum(gamma) <= t (B* = conv(U) contains 0).
-    """
-    v = as_vector(v)
-    if t <= 0:
-        return v.copy()
-    k = u_gens.shape[0]
-    gamma = np.zeros(k)
-    zk = gamma.copy()
-    t_k = 1.0
-    step = 1.0 / lip_u
-    for _ in range(400):
-        grad = u_gens @ (u_gens.T @ zk - v)
-        g_new = _project_weight_set(zk - step * grad, t)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        zk = g_new + ((t_k - 1.0) / t_next) * (g_new - gamma)
-        move = float(np.max(np.abs(g_new - gamma), initial=0.0))
-        gamma = g_new
-        t_k = t_next
-        if move <= 1e-14 * (1.0 + float(np.max(np.abs(gamma), initial=0.0))):
-            break
-    return v - u_gens.T @ gamma
-
-
-def _project_weight_set(gamma: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {gamma >= 0, sum(gamma) <= total}."""
-    clipped = np.maximum(gamma, 0.0)
-    if clipped.sum() <= total:
-        return clipped
-    # budget active: fall through to the simplex {>= 0, sum = total}
-    return project_simplex(gamma, total)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ from .gauge import (
 from .numerics import as_matrix, as_vector
 from .solvers import SolveOptions, SolveResult, solve
 
+# Round-off allowance of condition 1, relative to max(1, ||beta_hat||_inf):
+# the thresholders move a component by tau plus a rounding error of a few
+# ulps (at most 8.7e-17 relative on criterion 7's instance), so an exact
+# comparison of the gap with 0 would reject a constructive thresholder.
+PROXIMITY_RTOL = 1e-12
+
 
 @dataclass
 class ThresholdResult:
@@ -79,17 +85,18 @@ def verify_thresholded(
 ) -> dict:
     """Check a candidate against the three thresholded-estimator conditions.
 
-    Conditions 1 (sup-norm proximity) and 2 (subdifferential inclusion)
-    are exact.  Condition 3 (minimal face dimension over the tau-ball) is
-    approximated by sampling `samples` uniform points plus corner probes
-    of the ball, and is flagged "sampled" in the returned diagnostics.
+    Conditions 1 (sup-norm proximity, up to PROXIMITY_RTOL) and 2
+    (subdifferential inclusion) are exact.  Condition 3 (minimal face
+    dimension over the tau-ball) is approximated by sampling `samples`
+    uniform points plus corner probes of the ball, and is flagged
+    "sampled" in the returned diagnostics.
     """
     b = as_vector(beta_hat)
     cand = as_vector(candidate)
     if b.shape != cand.shape:
         raise ValueError("dimension mismatch")
     gap = float(np.max(np.abs(b - cand), initial=0.0)) - tau
-    cond1 = gap <= 0.0
+    cond1 = gap <= PROXIMITY_RTOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
     cond2 = subdiff_includes(spec, b, cand)
     cand_dim = spec.p - complexity(spec, cand)
     rng = np.random.default_rng(seed)

@@ -6,11 +6,16 @@ import pytest
 from polygauge import (
     ExperimentConfig,
     GaugeSpec,
+    NumericalFailure,
     SolveOptions,
+    experiments,
+    linprog,
+    min_linf_representation,
     replication_rng,
     run_accessibility_sweep,
     run_recovery_experiment,
     sure_select,
+    tf_matrix,
     zero_threshold,
 )
 from polygauge.experiments import _sweep_one, sweep_to_csv
@@ -139,7 +144,19 @@ def test_recovery_experiment_noiseless_match_when_condition_holds():
     assert summary["raw_match_any_lambda"]
 
 
-def test_zero_threshold_genlasso_bisection():
+def _count_lps(monkeypatch):
+    calls = []
+    real = linprog.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "lp_solve", counted)
+    return calls
+
+
+def test_zero_threshold_genlasso_dual_gauge(monkeypatch):
     rng = np.random.default_rng(13)
     spec = GaugeSpec.tv(4)
     x = rng.standard_normal((4, 4))
@@ -152,3 +169,52 @@ def test_zero_threshold_genlasso_bisection():
 
     assert dual_feasibility(spec, (x.T @ y) / lam0) <= 1e-7
     assert dual_feasibility(spec, (x.T @ y) / (lam0 * 0.9)) > 0
+    # tf(5) with X = I, where doubling on dual_feasibility(...) <= 0 ran
+    # away to 9.48e10: D' has full column rank, so D'z = y has one solution
+    y = np.array([0.6106217760071733, -1.1011730103651076, 0.7608029600113063,
+                  -0.6605739929559828, 0.3903222673026109])
+    z_exact, *_ = np.linalg.lstsq(tf_matrix(5).T, y, rcond=None)
+    assert np.max(np.abs(tf_matrix(5).T @ z_exact - y)) < 1e-12
+    calls = _count_lps(monkeypatch)
+    lam0 = zero_threshold(GaugeSpec.tf(5), np.eye(5), y)
+    assert len(calls) == 1
+    assert abs(lam0 - 0.6106217760071733) < 1e-9
+    assert abs(lam0 - np.max(np.abs(z_exact))) < 1e-9
+    assert abs(lam0 - min_linf_representation(tf_matrix(5).T, y)) < 1e-12
+    # col(D') is the sum-zero subspace, which X'y = 1 is outside
+    assert zero_threshold(GaugeSpec.tv(3), np.eye(3), np.ones(3)) == float("inf")
+
+
+def test_zero_threshold_custom_dual_gauge(monkeypatch):
+    # U = [0; V; -V]: B* = V'(cross-polytope), so the threshold is ||V'^-1 X'y||_1
+    rng = np.random.default_rng(3)
+    draws = [(rng.standard_normal((3, 3)), rng.standard_normal((5, 3)), rng.standard_normal(5))
+             for _ in range(5)]
+    for i, (v, x, y) in enumerate(draws):
+        spec = GaugeSpec.custom(np.vstack([np.zeros((1, 3)), v, -v]))
+        calls = _count_lps(monkeypatch)
+        lam0 = zero_threshold(spec, x, y)
+        assert len(calls) == 1
+        truth = float(np.sum(np.abs(np.linalg.solve(v.T, x.T @ y))))
+        assert abs(lam0 - truth) <= 1e-9 * max(1.0, truth)
+        if i == 1:  # doubling on dual_feasibility(...) <= 0 ran away to 4.68e11
+            assert abs(lam0 - 4.0343137) < 1e-7
+    # X'y outside cone(U) = the nonnegative quadrant
+    spec = GaugeSpec.custom([[1.0, 0.0], [0.0, 1.0]])
+    assert zero_threshold(spec, np.eye(2), np.array([-1.0, 0.5])) == float("inf")
+    assert abs(zero_threshold(spec, np.eye(2), np.array([1.0, 0.5])) - 1.5) < 1e-12
+
+
+def test_sweep_counts_numerical_failures_and_propagates_other_errors(monkeypatch):
+    def fail_with(exc):
+        def stub(x, target):
+            raise exc("stub")
+        return stub
+
+    cfg = ExperimentConfig(seed=3, n=8, p=5, reps=4, k_values=(1,))
+    monkeypatch.setattr(experiments, "min_linf_representation", fail_with(NumericalFailure))
+    rows = run_accessibility_sweep(cfg)
+    assert rows[0].failures == 4 and rows[0].reps == 0
+    monkeypatch.setattr(experiments, "min_linf_representation", fail_with(TypeError))
+    with pytest.raises(TypeError):
+        _sweep_one((3, 8, 5, 1, 0))

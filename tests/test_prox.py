@@ -7,10 +7,12 @@ from polygauge import (
     GaugeSpec,
     pen_eval,
     project_l1_ball,
+    project_simplex,
     prox_l1,
     prox_linf,
     prox_sorted_l1,
 )
+from polygauge.solvers import _prox_max
 
 
 def test_prox_l1_examples():
@@ -133,3 +135,30 @@ def test_prox_moreau_identity_sup():
         proj = project_l1_ball(v, t)
         assert np.allclose(out + proj, v, atol=1e-12)
         assert pen_eval(GaugeSpec.l1(4), proj) <= t + 1e-12
+
+
+def test_project_simplex_mixed_signs_variational_inequality():
+    # w is the projection of a onto the r-simplex iff (a - w)'(s - w) <= 0
+    # for every point s of it, i.e. for every vertex r * e_i
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = rng.standard_normal(5) * 3
+        r = float(rng.uniform(0.1, 4.0))
+        w = project_simplex(a, r)
+        assert np.all(w >= 0.0) and abs(w.sum() - r) < 1e-12
+        vertices = r * np.eye(5)
+        assert np.max((vertices - w) @ (a - w)) <= 1e-12
+
+
+def test_prox_max_grid_oracle():
+    # the z-prox of the custom-gauge ADMM: argmin 0.5||b - v||^2 + t max(b)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        v = rng.uniform(-2, 2, size=2)
+        t = float(rng.uniform(0.1, 1.5))
+
+        def objective(bb):
+            return 0.5 * np.sum((bb - v) ** 2, axis=1) + t * np.max(bb, axis=1)
+
+        best = grid_argmin_2d(objective, v)
+        assert np.max(np.abs(_prox_max(v, t) - best)) < 1e-3

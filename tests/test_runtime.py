@@ -1,0 +1,28 @@
+"""The package runs on numpy alone: scipy is a test-only oracle."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import sys
+import numpy as np
+from polygauge import GaugeSpec, solve, zero_threshold
+zero_threshold(GaugeSpec.tv(4), np.eye(4), np.array([1.0, -0.5, 0.25, -0.75]))
+spec = GaugeSpec.custom([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+zero_threshold(spec, np.eye(2), np.array([0.3, -0.2]))
+assert solve(spec, np.eye(2), np.array([0.3, -0.2]), 0.1).converged
+assert "scipy" not in sys.modules, "polygauge imported scipy"
+"""
+
+
+def test_runtime_does_not_import_scipy():
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -103,6 +103,27 @@ def test_custom_route_matches_genlasso_route():
         assert np.max(np.abs(r1.fitted - r2.fitted)) < 1e-5
 
 
+def test_custom_admm_converges_on_symmetric_gauge():
+    # U = [0; V; -V] drawn after four tv signals from Philox key (12, 13);
+    # with an inner iterative projection as the z-prox this instance ran
+    # 100000 iterations without converging
+    rng = np.random.Generator(np.random.Philox(key=np.array([12, 13], dtype=np.uint64)))
+    for p in (20, 20, 48, 48):
+        rng.standard_normal(4)
+        rng.standard_normal(p)
+    for _ in range(2):
+        v = rng.standard_normal((3, 3))
+        x = rng.standard_normal((5, 3))
+        y = rng.standard_normal(5)
+    spec = GaugeSpec.custom(np.vstack([np.zeros((1, 3)), v, -v]))
+    res = solve(spec, x, y, 0.5, SolveOptions(max_iter=2000))
+    assert res.converged
+    assert res.kkt_residual <= 1e-7
+    # g lies in B* = V'(cross-polytope) iff ||V'^-1 g||_1 <= 1; the KKT
+    # margin is a sup-norm distance to B*, which V'^-1 stretches
+    assert np.sum(np.abs(np.linalg.solve(v.T, res.dual_certificate))) <= 1.0 + 1e-6
+
+
 @pytest.mark.parametrize("spec", ALL_KINDS)
 def test_fitted_values_unique_across_starts(spec):
     # fitted values and penalty value agree for any two minimizers

@@ -11,6 +11,8 @@ from polygauge import (
     threshold_sup,
     verify_thresholded,
 )
+from polygauge.threshold import PROXIMITY_RTOL
+from test_acceptance import STRONG_SIGNAL_BETA, STRONG_SIGNAL_EPS, STRONG_SIGNAL_X
 
 
 def test_threshold_lasso_example():
@@ -83,6 +85,18 @@ def test_verifier_flags_condition1_violation():
     diag = verify_thresholded(spec, [1.0, 1.0], [2.0, 1.0], 0.5, samples=10)
     assert not diag["condition1"]
     assert diag["condition1_gap"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("r, tau", [(10, 0.05), (100, 0.2)])
+def test_verifier_condition1_tolerates_round_off(r, tau):
+    # criterion 7's instance: threshold_sup moves components by tau plus a
+    # rounding error, which an exact gap <= 0 test rejected
+    spec = GaugeSpec.sup(6)
+    y = STRONG_SIGNAL_X @ (r * STRONG_SIGNAL_BETA) + STRONG_SIGNAL_EPS
+    out = recover_with_threshold(spec, STRONG_SIGNAL_X, y, 1.0, tau, SolveOptions(tol=1e-8))
+    diag = verify_thresholded(spec, out.input, out.output, tau, samples=10)
+    assert diag["condition1"] and diag["condition2_inclusion"]
+    assert abs(diag["condition1_gap"]) <= PROXIMITY_RTOL * max(1.0, np.max(np.abs(out.input)))
 
 
 def test_verifier_rejects_wrong_pattern_direction():
