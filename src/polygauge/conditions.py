@@ -92,7 +92,8 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
 
     Solved as the epigraph LP min pen(b) s.t. Xb = X beta, with the
     closed-form encoding per kind (no generator expansion for l1/sup/
-    genlasso; a cumulative-sum encoding for slope up to p = 10).
+    genlasso/slope).  Slope uses the Birkhoff dual of the sorted-l1 norm,
+    4p variables and p^2 + 2p rows at any p.
     """
     x = as_matrix(x)
     beta = as_vector(beta)
@@ -120,111 +121,74 @@ def _fiber_min_lp(spec: GaugeSpec, x, target) -> linprog.LpSolution:
     """LP for min pen(b) s.t. Xb = target; b is the first p solution entries."""
     n, p = x.shape
     if spec.kind == "sup":
-        return _min_linf_lp(x, target)
+        return _min_max_lp(x, target, np.vstack([np.eye(p), -np.eye(p)]))
     if spec.kind == "slope":
-        if p > 10:
-            raise ValueError("slope accessibility epigraph supported for p <= 10")
         return _slope_fiber_lp(spec, x, target)
-    if spec.kind in ("l1", "genlasso"):
-        # vars [b, s]: min sum s, +-D b <= s (D = I for l1)
-        d = np.eye(p) if spec.kind == "l1" else spec.d
-        m = d.shape[0]
-        c = np.concatenate([np.zeros(p), np.ones(m)])
-        a_eq = np.hstack([x, np.zeros((n, m))])
-        a_le = np.vstack(
-            [
-                np.hstack([d, -np.eye(m)]),
-                np.hstack([-d, -np.eye(m)]),
-            ]
-        )
-        b_le = np.zeros(2 * m)
-        bounds = [(None, None)] * p + [(0.0, None)] * m
-    else:
-        u = generators(spec)
-        k = u.shape[0]
-        if k > 4096:
+    if spec.kind == "custom":
+        if spec.u.shape[0] > 4096:
             raise GeneratorBlowup("custom accessibility LP capped at 4096 generators")
-        c = np.concatenate([np.zeros(p), [1.0]])
-        a_eq = np.hstack([x, np.zeros((n, 1))])
-        a_le = np.hstack([u, -np.ones((k, 1))])
-        b_le = np.zeros(k)
-        bounds = [(None, None)] * p + [(None, None)]
+        return _min_max_lp(x, target, spec.u)
+    # vars [b, s]: min sum s, +-D b <= s (D = I for l1)
+    d = np.eye(p) if spec.kind == "l1" else spec.d
+    m = d.shape[0]
+    c = np.concatenate([np.zeros(p), np.ones(m)])
+    a_eq = np.hstack([x, np.zeros((n, m))])
+    a_le = np.vstack(
+        [
+            np.hstack([d, -np.eye(m)]),
+            np.hstack([-d, -np.eye(m)]),
+        ]
+    )
+    b_le = np.zeros(2 * m)
+    bounds = [(None, None)] * p + [(0.0, None)] * m
     return linprog.lp_solve(
         linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=b_le, bounds=bounds)
     )
 
 
-def _slope_fiber_lp(spec: GaugeSpec, x, target):
-    """Sorted-l1 epigraph via top-k sums: r_k >= sum of k largest |b|,
-    objective sum_k (w_k - w_{k+1}) r_k, each top-k sum encoded by its
-    dual representation k*theta_k + sum_i max(a_i - theta_k, 0)."""
+def _slope_fiber_lp(spec: GaugeSpec, x, target) -> linprog.LpSolution:
+    """Sorted-l1 epigraph by Birkhoff duality: for a >= |b| and w decreasing
+    and positive, sum_k w_k a_(k) = max over doubly stochastic P of w'Pa
+    = min {1'r + 1't : r_i + t_k >= w_k a_i}; vars [b, a, r, t]."""
     n, p = x.shape
-    w = np.asarray(spec.weights)
-    # vars: b (p) | a (p) | theta (p) | v (p*p, v[k,i]) | r (p)
-    nb, na, nt = p, p, p
-    nv = p * p
-    total = nb + na + nt + nv + p
-    off_a = nb
-    off_t = nb + na
-    off_v = nb + na + nt
-    off_r = nb + na + nt + nv
-    c = np.zeros(total)
-    wnext = np.concatenate([w[1:], [0.0]])
-    c[off_r:] = w - wnext
-    a_eq = np.zeros((n, total))
-    a_eq[:, :p] = x
-    rows = []
-    rhs = []
-    # |b_i| <= a_i
-    for i in range(p):
-        row = np.zeros(total)
-        row[i] = 1.0
-        row[off_a + i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(total)
-        row[i] = -1.0
-        row[off_a + i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    # a_i - theta_k <= v[k,i]
-    for k in range(p):
-        for i in range(p):
-            row = np.zeros(total)
-            row[off_a + i] = 1.0
-            row[off_t + k] = -1.0
-            row[off_v + k * p + i] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    # (k+1)*theta_k + sum_i v[k,i] <= r_k
-    for k in range(p):
-        row = np.zeros(total)
-        row[off_t + k] = float(k + 1)
-        row[off_v + k * p : off_v + (k + 1) * p] = 1.0
-        row[off_r + k] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    bounds = (
-        [(None, None)] * nb
-        + [(0.0, None)] * na
-        + [(None, None)] * nt
-        + [(0.0, None)] * nv
-        + [(None, None)] * p
+    w = np.asarray(spec.weights, dtype=float)
+    eye, zero = np.eye(p), np.zeros((p, p))
+    c = np.concatenate([np.zeros(2 * p), np.ones(2 * p)])
+    a_eq = np.hstack([x, np.zeros((n, 3 * p))])
+    a_le = np.vstack(
+        [
+            np.hstack([eye, -eye, zero, zero]),
+            np.hstack([-eye, -eye, zero, zero]),
+            # row k*p + i: w_k a_i - r_i - t_k <= 0
+            np.hstack(
+                [
+                    np.zeros((p * p, p)),
+                    np.kron(w[:, None], eye),
+                    -np.tile(eye, (p, 1)),
+                    -np.kron(eye, np.ones((p, 1))),
+                ]
+            ),
+        ]
     )
+    bounds = [(None, None)] * p + [(0.0, None)] * p + [(None, None)] * (2 * p)
     return linprog.lp_solve(
-        linprog.LpProblem(
-            c,
-            a_eq=a_eq,
-            b_eq=target,
-            a_le=np.asarray(rows),
-            b_le=np.asarray(rhs),
-            bounds=bounds,
-        )
+        linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=np.zeros(p * p + 2 * p), bounds=bounds)
     )
 
 
 # ---------------------------------------------------------------------------
 # noiseless recovery
+
+
+def _meets_face(image: np.ndarray, rows: np.ndarray) -> linprog.FeasibilityResult:
+    """Phase-1 test whether col(image) meets the face conv(rows) of B*:
+    vars c (free) | alpha (>= 0) with image c = rows' alpha, 1'alpha = 1."""
+    p, m = image.shape
+    k = rows.shape[0]
+    a_eq = np.block([[image, -rows.T], [np.zeros((1, m)), np.ones((1, k))]])
+    b_eq = np.append(np.zeros(p), 1.0)
+    bounds = [(None, None)] * m + [(0.0, None)] * k
+    return linprog.feasibility(linprog.LpProblem(np.zeros(m + k), a_eq=a_eq, b_eq=b_eq, bounds=bounds))
 
 
 def check_nrc_geometric(spec: GaugeSpec, x, beta, rel_tol: float = 1e-8) -> ConditionReport:
@@ -235,19 +199,8 @@ def check_nrc_geometric(spec: GaugeSpec, x, beta, rel_tol: float = 1e-8) -> Cond
     basis = pattern_subspace(spec, beta, rel_tol=rel_tol)
     u = generators(spec)
     idx = list(active_indices(spec, beta, rel_tol=rel_tol))
-    xtxb = x.T @ (x @ basis.vectors)  # p x m
+    res = _meets_face(x.T @ (x @ basis.vectors), u[idx])
     m = basis.dim
-    k = len(idx)
-    p = spec.p
-    # vars: c (m, free) | alpha (k, >= 0); X'X B c = sum alpha_l u_l, 1'alpha = 1
-    a_eq = np.zeros((p + 1, m + k))
-    a_eq[:p, :m] = xtxb
-    a_eq[:p, m:] = -u[idx].T
-    a_eq[p, m:] = 1.0
-    b_eq = np.zeros(p + 1)
-    b_eq[p] = 1.0
-    bounds = [(None, None)] * m + [(0.0, None)] * k
-    res = linprog.feasibility(linprog.LpProblem(np.zeros(m + k), a_eq=a_eq, b_eq=b_eq, bounds=bounds))
     cert: dict = {"active_set": idx, "pattern_subspace_dim": m}
     if res.feasible:
         cvec = res.witness[:m]
@@ -432,7 +385,9 @@ def min_linf_representation(x, target) -> float:
 
     Raises InfeasibleTarget when target is outside col(X).
     """
-    sol = _min_linf_lp(as_matrix(x), as_vector(target))
+    x = as_matrix(x)
+    p = x.shape[1]
+    sol = _min_max_lp(x, as_vector(target), np.vstack([np.eye(p), -np.eye(p)]))
     if sol.status == linprog.INFEASIBLE:
         raise InfeasibleTarget("target vector is outside the column space of X")
     if sol.status != linprog.OPTIMAL:
@@ -440,23 +395,21 @@ def min_linf_representation(x, target) -> float:
     return float(sol.value)
 
 
-def _min_linf_lp(x: np.ndarray, target: np.ndarray) -> linprog.LpSolution:
-    """LP for min ||gamma||_inf s.t. X gamma = target; vars [gamma, t]."""
+def _min_max_lp(x: np.ndarray, target: np.ndarray, rows: np.ndarray) -> linprog.LpSolution:
+    """LP for min t s.t. X gamma = target, rows gamma <= t; vars [gamma, t].
+    rows holds +-I (the sup norm) or a zero row (a custom gauge), so t >= 0."""
     n, p = x.shape
+    k = rows.shape[0]
     c = np.concatenate([np.zeros(p), [1.0]])
     a_eq = np.hstack([x, np.zeros((n, 1))])
-    ones = np.ones((p, 1))
-    a_le = np.vstack([np.hstack([np.eye(p), -ones]), np.hstack([-np.eye(p), -ones])])
-    b_le = np.zeros(2 * p)
+    a_le = np.hstack([rows, -np.ones((k, 1))])
     bounds = [(None, None)] * p + [(0.0, None)]
     return linprog.lp_solve(
-        linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=b_le, bounds=bounds)
+        linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=np.zeros(k), bounds=bounds)
     )
 
 
-def check_uniform_uniqueness(
-    spec: GaugeSpec, x, max_generators: int = 16
-) -> ConditionReport:
+def check_uniform_uniqueness(spec: GaugeSpec, x) -> ConditionReport:
     """Uniform uniqueness of the penalized minimizer over all (y, lambda):
     row(X) must avoid every face of B* of dimension below def(X).
 
@@ -475,7 +428,7 @@ def check_uniform_uniqueness(
             method="uniqueness-face-scan",
             certificate={"deficiency": 0, "note": "injective design"},
         )
-    faces = enumerate_faces(spec, max_generators=max_generators)
+    faces = enumerate_faces(spec)
     u = generators(spec)
     violating = []
     min_resid = float("inf")
@@ -485,18 +438,7 @@ def check_uniform_uniqueness(
             continue
         scanned += 1
         idx = list(face.vertices)
-        k = len(idx)
-        # vars: z (n, free) | alpha (k, >= 0); X'z = sum alpha_l u_l, 1'alpha = 1
-        a_eq = np.zeros((p + 1, n + k))
-        a_eq[:p, :n] = x.T
-        a_eq[:p, n:] = -u[idx].T
-        a_eq[p, n:] = 1.0
-        b_eq = np.zeros(p + 1)
-        b_eq[p] = 1.0
-        bounds = [(None, None)] * n + [(0.0, None)] * k
-        res = linprog.feasibility(
-            linprog.LpProblem(np.zeros(n + k), a_eq=a_eq, b_eq=b_eq, bounds=bounds)
-        )
+        res = _meets_face(x.T, u[idx])
         min_resid = min(min_resid, res.phase1_value)
         if res.feasible:
             violating.append(

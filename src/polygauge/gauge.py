@@ -37,6 +37,8 @@ from . import linprog
 from .numerics import as_matrix, as_vector, null_space_basis, rank, SubspaceBasis
 
 GENERATOR_CAP = 2**20
+# enumerate_faces tests all 2^k generator subsets, so k stays at most this
+_FACE_ENUMERATION_CAP = 16
 CANON_DIGITS = 12
 
 
@@ -538,19 +540,18 @@ def _basis_from_columns(p: int, cols) -> SubspaceBasis:
     return SubspaceBasis(p, np.column_stack(cols))
 
 
-def enumerate_faces(spec: GaugeSpec, max_generators: int = 16) -> list:
+def enumerate_faces(spec: GaugeSpec) -> list:
     """All nonempty faces of B*, each certified by an exposure LP.
 
     A subset S is accepted when some a with ||a||_inf <= 1 satisfies
     u_l'a = c on S and u_m'a <= c - delta off S with margin delta > 1e-9;
     each face then appears exactly once, keyed by its full vertex set.
+    Raises GeneratorBlowup when B* has more generators than the cap.
     """
-    if max_generators > 16:
-        raise ValueError("face enumeration cap is 16 generators")
     u = generators(spec)
     k, _ = u.shape
-    if k > max_generators:
-        raise GeneratorBlowup(f"{k} generators exceed the enumeration cap {max_generators}")
+    if k > _FACE_ENUMERATION_CAP:
+        raise GeneratorBlowup(f"{k} generators exceed the enumeration cap {_FACE_ENUMERATION_CAP}")
     faces = []
     for mask in range(1, 2**k):
         in_set = [l for l in range(k) if mask >> l & 1]

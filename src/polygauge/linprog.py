@@ -8,8 +8,12 @@ than speed at these sizes.
 
 Geometry convention: variables are free unless bounds are given,
 ``a_le @ x <= b_le`` for inequalities, ``a_eq @ x = b_eq`` for equalities.
-Internally everything is rewritten to standard form (nonnegative split
-variables plus slacks) before pivoting.
+Internally everything is rewritten to standard form before pivoting: a
+variable bounded by exactly (0, None) is one nonnegative column and its
+bound stays implicit; every other variable is split into x+ - x- and its
+finite bounds become slack rows.  lp_solve and feasibility share one
+phase 1.  Certificates (duals, Farkas vectors) are reported over the
+folded rows of _bounds_to_rows, implicit bound rows included.
 """
 
 from __future__ import annotations
@@ -139,25 +143,14 @@ class _Simplex:
     artificial variables are only created where actually needed.
     """
 
-    def __init__(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        max_iter: int,
-        slack_of_row=None,
-    ):
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int, slack_of_row):
         m, n = a.shape
         self.sign = np.where(b < 0, -1.0, 1.0)
-        a_f = a * self.sign[:, None]
-        b_f = b * self.sign
-        self.a_f = a_f.copy()  # flipped constraint matrix, pre-pivot
+        self.a_f = a * self.sign[:, None]  # flipped constraint matrix, pre-pivot
         self.m, self.n = m, n
         self.c = c
         self.max_iter = max_iter
         self.iterations = 0
-        if slack_of_row is None:
-            slack_of_row = [-1] * m
         self.basis = []
         art_rows = []
         for r in range(m):
@@ -166,13 +159,12 @@ class _Simplex:
             else:
                 self.basis.append(-1)  # placeholder, artificial below
                 art_rows.append(r)
-        art = np.zeros((m, len(art_rows)))
+        self.art = np.zeros((m, len(art_rows)))
         for j, r in enumerate(art_rows):
-            art[r, j] = 1.0
+            self.art[r, j] = 1.0
             self.basis[r] = n + j
         self.n_art = len(art_rows)
-        self.art = art.copy()
-        self.T = np.hstack([a_f, art, b_f[:, None]])
+        self.T = np.hstack([self.a_f, self.art, (b * self.sign)[:, None]])
         self.art_start = n
         self.row_alive = np.ones(m, dtype=bool)
 
@@ -275,40 +267,71 @@ class _Simplex:
         return self.sign * y_f
 
 
-def _standard_form(problem: LpProblem):
-    """Rewrite as min c'z, Az=b, z>=0 via free-variable splitting and slacks."""
-    a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem)
-    n = problem.n_vars
-    me, mi = a_eq.shape[0], a_le.shape[0]
-    a = np.zeros((me + mi, 2 * n + mi))
-    a[:me, :n] = a_eq
-    a[:me, n : 2 * n] = -a_eq
-    a[me:, :n] = a_le
-    a[me:, n : 2 * n] = -a_le
-    a[me:, 2 * n :] = np.eye(mi)
-    b = np.concatenate([b_eq, b_le])
-    c = np.concatenate([problem.c, -problem.c, np.zeros(mi)])
-    slack_of_row = [-1] * me + [2 * n + i for i in range(mi)]
-    return a, b, c, n, me, mi, slack_of_row
+class _StandardForm:
+    """min c'z, Az = b, z >= 0 for an LpProblem.  A variable bounded by
+    exactly (0, None) is one column whose bound row stays implicit; every
+    other variable j is split into z_j - z_{n+i} (j = free[i]) and its
+    bounds are folded into slack rows, as _bounds_to_rows writes them."""
+
+    def __init__(self, problem: LpProblem):
+        self.folded_rows = a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem)
+        n = self.n = problem.n_vars
+        nonneg = [False] * n
+        # a variable's folded rows follow a_le's own rows, lower bound first
+        explicit = [True] * (0 if problem.a_le is None else problem.a_le.shape[0])
+        for j, (lo, hi) in enumerate(problem.bounds or []):
+            nonneg[j] = lo == 0.0 and hi is None
+            explicit += [not nonneg[j]] * (lo is not None) + [True] * (hi is not None)
+        self.nonneg, self.explicit = np.array(nonneg, dtype=bool), np.array(explicit, dtype=bool)
+        self.free = np.flatnonzero(~self.nonneg)
+        me, mi, nz = a_eq.shape[0], int(self.explicit.sum()), n + self.free.size
+        a = self.a = np.zeros((me + mi, nz + mi))
+        a[:me, :n], a[me:, :n] = a_eq, a_le[self.explicit]
+        a[:, n:nz] = -a[:, self.free]
+        a[me:, nz:] = np.eye(mi)
+        self.b = np.concatenate([b_eq, b_le[self.explicit]])
+        self.c = np.concatenate([problem.c, -problem.c[self.free], np.zeros(mi)])
+        self.me = me
+        self.slack_of_row = [-1] * me + [nz + i for i in range(mi)]
+
+    def x(self, z: np.ndarray) -> np.ndarray:
+        """Original-space point (or direction) of a standard-form z."""
+        x = z[: self.n].copy()
+        x[self.free] -= z[self.n : self.n + self.free.size]
+        return x
+
+    def folded(self, y: np.ndarray, c_x: np.ndarray) -> tuple:
+        """(y_eq, y_le) over the folded rows from row multipliers y: an
+        implicit row -x_j <= 0 gets (y'A - c)_j, which is <= 0 wherever
+        the reduced cost of column j is >= 0."""
+        y_le = np.zeros(self.explicit.size)
+        y_le[self.explicit] = y[self.me :]
+        y_le[~self.explicit] = (y @ self.a[:, : self.n] - c_x)[self.nonneg]
+        return y[: self.me].copy(), y_le
 
 
-def _split_x(z: np.ndarray, n: int) -> np.ndarray:
-    return z[:n] - z[n : 2 * n]
+def _phase1(problem: LpProblem, max_iter: int | None):
+    """Standard form, iteration cap and phase 1, shared by lp_solve and
+    feasibility.  Returns (form, simplex, phase-1 value, farkas), farkas
+    None when the constraints are feasible."""
+    form = _StandardForm(problem)
+    if max_iter is None:
+        max_iter = 50 * (form.a.shape[1] + form.a.shape[0])
+    sx = _Simplex(form.a, form.b, form.c, max_iter, form.slack_of_row)
+    phase1, cost1 = sx.solve_phase1()
+    scale = 1.0 + float(np.abs(form.b).max(initial=0.0))
+    if phase1 <= 1e-8 * scale:
+        return form, sx, phase1, None
+    return form, sx, phase1, form.folded(sx.dual(cost1), np.zeros(form.n))
 
 
 def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
     """Solve the LP; status plus certificates as described on LpSolution."""
-    a, b, c, n, me, mi, slack_of_row = _standard_form(problem)
-    if max_iter is None:
-        max_iter = 50 * (a.shape[1] + a.shape[0])
-    sx = _Simplex(a, b, c, max_iter, slack_of_row)
-    phase1, cost1 = sx.solve_phase1()
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    if phase1 > 1e-8 * scale:
-        y = sx.dual(cost1)
+    form, sx, phase1, farkas = _phase1(problem, max_iter)
+    if farkas is not None:
         return LpSolution(
             status=INFEASIBLE,
-            farkas=(y[:me].copy(), y[me:].copy()),
+            farkas=farkas,
             iterations=sx.iterations,
             residuals={"phase1": phase1},
         )
@@ -320,22 +343,21 @@ def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
         for r in range(sx.m):
             if sx.row_alive[r]:
                 d[sx.basis[r]] = -sx.T[r, unbounded_col]
-        ray = _split_x(d, n)
-        return LpSolution(status=UNBOUNDED, ray=ray, iterations=sx.iterations)
-    z = sx.primal()
-    x = _split_x(z, n)
+        return LpSolution(status=UNBOUNDED, ray=form.x(d), iterations=sx.iterations)
+    x = form.x(sx.primal())
     y = sx.dual(cost2)
+    y_eq, y_le = form.folded(y, problem.c)
     value = float(problem.c @ x)
-    a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem)
-    res_eq = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)) if me else 0.0
-    res_le = float(np.max(a_le @ x - b_le, initial=0.0)) if mi else 0.0
-    gap = abs(value - float(y @ b)) if b.size else 0.0
+    a_eq, b_eq, a_le, b_le = form.folded_rows
+    res_eq = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
+    res_le = float(np.max(a_le @ x - b_le, initial=0.0))
+    gap = abs(value - float(y @ form.b)) if form.b.size else 0.0
     return LpSolution(
         status=OPTIMAL,
         x=x,
         value=value,
-        y_eq=y[:me].copy(),
-        y_le=y[me:].copy(),
+        y_eq=y_eq,
+        y_le=y_le,
         iterations=sx.iterations,
         residuals={"primal_eq": res_eq, "primal_le": res_le, "duality_gap": gap},
     )
@@ -348,13 +370,7 @@ def feasibility(problem: LpProblem, max_iter: int | None = None) -> FeasibilityR
     (y_eq, y_le) with y_le <= 0, y_eq'a_eq + y_le'a_le = 0 and
     y_eq'b_eq + y_le'b_le > 0 within tolerance.
     """
-    a, b, c, n, me, mi, slack_of_row = _standard_form(problem)
-    if max_iter is None:
-        max_iter = 50 * (a.shape[1] + a.shape[0])
-    sx = _Simplex(a, b, c, max_iter, slack_of_row)
-    phase1, cost1 = sx.solve_phase1()
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    if phase1 > 1e-8 * scale:
-        y = sx.dual(cost1)
-        return FeasibilityResult(False, None, (y[:me].copy(), y[me:].copy()), phase1, sx.iterations)
-    return FeasibilityResult(True, _split_x(sx.primal(), n), None, phase1, sx.iterations)
+    form, sx, phase1, farkas = _phase1(problem, max_iter)
+    if farkas is not None:
+        return FeasibilityResult(False, None, farkas, phase1, sx.iterations)
+    return FeasibilityResult(True, form.x(sx.primal()), None, phase1, sx.iterations)

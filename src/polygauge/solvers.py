@@ -85,6 +85,8 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
+    if radius == 0:
+        return np.zeros_like(v)
     theta = _simplex_threshold(a, radius)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 

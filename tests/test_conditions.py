@@ -61,6 +61,59 @@ def test_accessibility_slope_epigraph_matches_generator_route():
         assert r1.verdict == r2.verdict
 
 
+def _slope_fiber_min_top_k(x, target, w):
+    """HiGHS reference in the top-k-sum encoding: min sum_k (w_k - w_{k+1})
+    T_k(a) over Xb = target, a >= |b|, where the sum of the k largest a_i
+    is T_k(a) = min over theta of k theta + sum_i (a_i - theta)_+.
+    vars b | a | theta (p each) | v (p x p, v[k, i] >= a_i - theta_k)."""
+    from scipy.optimize import linprog as highs
+
+    n, p = x.shape
+    d = w - np.append(w[1:], 0.0)
+    eye, pad = np.eye(p), np.zeros((p, p + p * p))
+    c = np.concatenate([np.zeros(2 * p), d * np.arange(1, p + 1), np.repeat(d, p)])
+    a_ub = np.vstack(
+        [
+            np.hstack([eye, -eye, pad]),
+            np.hstack([-eye, -eye, pad]),
+            np.hstack(
+                [
+                    np.zeros((p * p, p)),
+                    np.tile(eye, (p, 1)),
+                    -np.kron(eye, np.ones((p, 1))),
+                    -np.eye(p * p),
+                ]
+            ),
+        ]
+    )
+    a_eq = np.hstack([x, np.zeros((n, 2 * p + p * p))])
+    bounds = [(None, None)] * (3 * p) + [(0.0, None)] * (p * p)
+    res = highs(
+        c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq, b_eq=target, bounds=bounds, method="highs"
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("p", [12, 16])
+def test_accessibility_slope_above_p10(p):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(p)
+    w = np.arange(p, 0.0, -1.0)
+    spec = GaugeSpec.slope(w)
+    for _ in range(2):
+        x = rng.standard_normal((p // 2, p))
+        beta = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], p)
+        target = x @ beta
+        rep = check_accessibility(spec, x, beta)
+        value = rep.certificate["lp_value"]
+        b = rep.certificate["minimizer"]
+        assert np.max(np.abs(x @ b - target)) <= 1e-8 * (1.0 + np.max(np.abs(target)))
+        assert abs(pen_eval(spec, b) - value) <= 1e-8 * (1.0 + value)
+        ref = _slope_fiber_min_top_k(x, target, w)
+        assert abs(value - ref) <= 1e-7 * max(1.0, abs(ref))
+
+
 def test_accessibility_margin_reported():
     rep = check_accessibility(GaugeSpec.l1(2), np.array([[1.0, 1.0]]), [3.0, -1.0])
     assert rep.margin < -1.0  # value 2 vs pen 4
@@ -138,6 +191,25 @@ def test_cross_oracle_sup_vs_geometric():
         geometric = check_nrc_geometric(GaugeSpec.sup(p), x, beta)
         disagreements += analytic.verdict != geometric.verdict
     assert disagreements == 0
+
+
+def test_nrc_geometric_l1_large_faces_agree_with_lasso():
+    # the eight l1 instances of the face_geometry benchmark: faces of up
+    # to 2^9 active sign vectors, tested with unsplit weights alpha >= 0
+    rng = np.random.Generator(np.random.Philox(key=np.array([15, 1], dtype=np.uint64)))
+    spec = GaugeSpec.l1(10)
+    for _ in range(8):
+        x = rng.standard_normal((6, 10)) / np.sqrt(6)
+        beta = np.zeros(10)
+        supp = rng.choice(10, size=int(rng.integers(1, 4)), replace=False)
+        beta[supp] = rng.choice([-1.0, 1.0], supp.size) * rng.uniform(0.5, 2.0, supp.size)
+        rep = check_nrc_geometric(spec, x, beta)
+        assert rep.verdict == check_nrc_lasso(x, beta).verdict
+        if rep.verdict:
+            alpha = rep.certificate["witness_alpha"]
+            assert alpha.min() >= -1e-9 and abs(alpha.sum() - 1.0) <= 1e-9
+            image = x.T @ (x @ rep.certificate["witness_point"])
+            assert np.max(np.abs(image - rep.certificate["witness_subgradient"])) <= 1e-8
 
 
 def test_nrc_implies_accessibility_on_random_instances():

@@ -88,43 +88,65 @@ def test_random_lps_match_vertex_oracle():
         assert abs(sol.value - value) <= 1e-7
 
 
+def _half_lines(prob):
+    """The same LP with its even-indexed variables moved from [-3, 3] to
+    [0, 6]: bounds (0.0, None), the upper bound 6 written as an a_le row."""
+    n = prob.n_vars
+    assert prob.bounds == [(-3.0, 3.0)] * n
+    moved = np.arange(n) % 2 == 0
+    shift = 3.0 * moved
+    rows = np.eye(n)[moved]
+    a_le = rows if prob.a_le is None else np.vstack([prob.a_le, rows])
+    b_le = np.full(rows.shape[0], 6.0)
+    if prob.a_le is not None:
+        b_le = np.concatenate([prob.b_le + prob.a_le @ shift, b_le])
+    b_eq = None if prob.a_eq is None else prob.b_eq + prob.a_eq @ shift
+    bounds = [(0.0, None) if m else (-3.0, 3.0) for m in moved]
+    return LpProblem(prob.c, a_eq=prob.a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le, bounds=bounds)
+
+
 def test_optimal_certificates_random():
     rng = np.random.default_rng(8)
     for _ in range(30):
-        prob = random_lp_problem(rng)
-        sol = lp_solve(prob)
-        assert sol.status == OPTIMAL
-        assert sol.residuals["primal_eq"] <= 1e-8
-        assert sol.residuals["primal_le"] <= 1e-8
-        assert sol.residuals["duality_gap"] <= 1e-7 * (1.0 + abs(sol.value))
+        base = random_lp_problem(rng)
+        # boxed variables only, then half-line variables kept as unsplit columns
+        for prob in (base, _half_lines(base)):
+            sol = lp_solve(prob)
+            assert sol.status == OPTIMAL
+            assert sol.residuals["primal_eq"] <= 1e-8
+            assert sol.residuals["primal_le"] <= 1e-8
+            assert sol.residuals["duality_gap"] <= 1e-7 * (1.0 + abs(sol.value))
 
 
 def test_infeasible_farkas_random():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        prob = random_lp_problem(rng)
-        n = prob.n_vars
-        # append x_1 >= 1 and x_1 <= 0
-        extra = np.zeros((2, n))
-        extra[0, 0] = -1.0
-        extra[1, 0] = 1.0
-        a_le = extra if prob.a_le is None else np.vstack([prob.a_le, extra])
-        b_le = (
-            np.array([-1.0, 0.0])
-            if prob.b_le is None
-            else np.concatenate([prob.b_le, [-1.0, 0.0]])
-        )
-        bad = LpProblem(prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq, a_le=a_le, b_le=b_le,
-                        bounds=prob.bounds)
-        sol = lp_solve(bad)
-        assert sol.status == INFEASIBLE
-        y_eq, y_le = sol.farkas
-        a_eq, b_eq, a_le_full, b_le_full = _bounds_to_rows(bad)
-        combo = (y_eq @ a_eq if a_eq.size else 0.0) + y_le @ a_le_full
-        rhs = (y_eq @ b_eq if b_eq.size else 0.0) + y_le @ b_le_full
-        assert np.max(np.abs(combo)) <= 1e-7 * (1.0 + np.max(np.abs(y_le)))
-        assert np.all(y_le <= 1e-9)
-        assert rhs > 1e-9
+        base = random_lp_problem(rng)
+        # the half-line input checks the multipliers of the implicit rows
+        # -x_j <= 0, which _bounds_to_rows writes out
+        for prob in (base, _half_lines(base)):
+            n = prob.n_vars
+            # append x_1 >= 1 and x_1 <= 0
+            extra = np.zeros((2, n))
+            extra[0, 0] = -1.0
+            extra[1, 0] = 1.0
+            a_le = extra if prob.a_le is None else np.vstack([prob.a_le, extra])
+            b_le = (
+                np.array([-1.0, 0.0])
+                if prob.b_le is None
+                else np.concatenate([prob.b_le, [-1.0, 0.0]])
+            )
+            bad = LpProblem(prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq, a_le=a_le, b_le=b_le,
+                            bounds=prob.bounds)
+            sol = lp_solve(bad)
+            assert sol.status == INFEASIBLE
+            y_eq, y_le = sol.farkas
+            a_eq, b_eq, a_le_full, b_le_full = _bounds_to_rows(bad)
+            combo = (y_eq @ a_eq if a_eq.size else 0.0) + y_le @ a_le_full
+            rhs = (y_eq @ b_eq if b_eq.size else 0.0) + y_le @ b_le_full
+            assert np.max(np.abs(combo)) <= 1e-7 * (1.0 + np.max(np.abs(y_le)))
+            assert np.all(y_le <= 1e-9)
+            assert rhs > 1e-9
 
 
 def test_iteration_cap_raises():

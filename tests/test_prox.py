@@ -75,6 +75,12 @@ def test_project_l1_ball_inside_is_identity():
     assert np.array_equal(project_l1_ball(v, 1.0), v)
 
 
+def test_project_l1_ball_radius_zero():
+    # the ball of radius 0 is the origin, as for project_simplex and prox_linf
+    assert np.array_equal(project_l1_ball([1.0, 2.0], 0.0), np.zeros(2))
+    assert np.array_equal(project_l1_ball([-3.0, 0.0, 0.5], 0.0), np.zeros(3))
+
+
 def test_project_l1_ball_norm():
     rng = np.random.default_rng(2)
     for _ in range(50):
