@@ -18,6 +18,7 @@ from .gauge import (
     GeneratorBlowup,
     active_indices,
     active_set,
+    _faces_below,
     enumerate_faces,
     generators,
     pen_eval,
@@ -38,7 +39,9 @@ class ConditionReport:
     Margin conventions:
       accessibility-lp : lp_value - pen(beta); accessible iff >= -1e-7.
       geometric-lp     : minus the phase-1 infeasibility of the
-                         intersection LP; condition holds iff >= -1e-7.
+                         intersection LP; the condition holds iff that LP
+                         is feasible, phase-1 <= linprog.PHASE1_RTOL *
+                         (1 + ||b||_inf) = 2e-8, i.e. margin >= -2e-8.
       analytic-l1      : 1 - ||X'(X_I')^+ sign(beta_I)||_inf, -inf when the
                          sign vector is outside row(X_I).
       analytic-sup     : 1 - ||X'(Xtilde')^+ e_1||_1, -inf when e_1 is
@@ -47,7 +50,9 @@ class ConditionReport:
                          (one-sided: a miss does not refute the condition).
       uniqueness-face-scan : smallest phase-1 residual over scanned faces
                          (how far row(X) stays from every low-dimensional
-                         face); unique iff > 1e-7; +inf with nothing to scan.
+                         face); unique iff every face LP is infeasible, that
+                         is margin > linprog.PHASE1_RTOL * 2 = 2e-8; +inf
+                         with nothing to scan.
     """
 
     verdict: bool
@@ -413,8 +418,11 @@ def check_uniform_uniqueness(spec: GaugeSpec, x) -> ConditionReport:
     """Uniform uniqueness of the penalized minimizer over all (y, lambda):
     row(X) must avoid every face of B* of dimension below def(X).
 
-    Scans the enumerated faces and LP-tests row(X) against each low-
-    dimensional one; the report lists every violating face.
+    The named kinds list those faces from their patterns (gauge._faces_below,
+    no exposure LPs; GeneratorBlowup when there are more than its cap);
+    custom gauges scan enumerate_faces, and only their violating faces
+    carry the generator indices as "vertices".  Each face is LP-tested
+    against row(X) by _meets_face; the report lists every violating face.
     """
     x = as_matrix(x)
     n, p = x.shape
@@ -428,24 +436,28 @@ def check_uniform_uniqueness(spec: GaugeSpec, x) -> ConditionReport:
             method="uniqueness-face-scan",
             certificate={"deficiency": 0, "note": "injective design"},
         )
-    faces = enumerate_faces(spec)
-    u = generators(spec)
+    if spec.kind == "custom":
+        u = generators(spec)
+        faces = (
+            ({"vertices": list(f.vertices)}, f.dimension, u[list(f.vertices)])
+            for f in enumerate_faces(spec)
+            if f.dimension < deficiency
+        )
+    else:
+        faces = (({}, dim, rows) for dim, rows in _faces_below(spec, deficiency))
     violating = []
     min_resid = float("inf")
     scanned = 0
-    for face in faces:
-        if face.dimension >= deficiency:
-            continue
+    for tag, dim, rows in faces:
         scanned += 1
-        idx = list(face.vertices)
-        res = _meets_face(x.T, u[idx])
+        res = _meets_face(x.T, rows)
         min_resid = min(min_resid, res.phase1_value)
         if res.feasible:
             violating.append(
                 {
-                    "vertices": idx,
-                    "dimension": face.dimension,
-                    "generator_rows": u[idx],
+                    **tag,
+                    "dimension": dim,
+                    "generator_rows": rows,
                     "witness_z": res.witness[:n],
                     "witness_alpha": res.witness[n:],
                 }

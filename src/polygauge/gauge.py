@@ -34,11 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linprog
-from .numerics import as_matrix, as_vector, null_space_basis, rank, SubspaceBasis
+from .numerics import as_matrix, as_vector, null_space_basis, rank, row_space_basis, SubspaceBasis
 
 GENERATOR_CAP = 2**20
 # enumerate_faces tests all 2^k generator subsets, so k stays at most this
 _FACE_ENUMERATION_CAP = 16
+# enumerate_faces accepts a subset as an exact active set above this margin
+EXPOSURE_MARGIN = 1e-9
+# _faces_below refuses beyond this many faces (genlasso: covector LPs), the
+# LP budget of a full enumeration at _FACE_ENUMERATION_CAP
+_FACE_LISTING_CAP = 2**_FACE_ENUMERATION_CAP
 CANON_DIGITS = 12
 
 
@@ -350,17 +355,6 @@ def _signed_ranks(b: np.ndarray, tol: float = 0.0) -> list:
     return [int(np.sign(x)) * rank_of[abs(x)] for x in b]
 
 
-def spec_pattern_kind(spec: GaugeSpec) -> str | None:
-    """Named-pattern kind matching the spec, None when there is none."""
-    if spec.kind == "l1":
-        return "sign"
-    if spec.kind in ("slope", "sup"):
-        return spec.kind
-    if spec.kind == "genlasso" and spec.d_name in ("tv", "tf"):
-        return spec.d_name
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class PatternFingerprint:
     """Canonical identifier of a pattern equivalence class.
@@ -544,8 +538,11 @@ def enumerate_faces(spec: GaugeSpec) -> list:
     """All nonempty faces of B*, each certified by an exposure LP.
 
     A subset S is accepted when some a with ||a||_inf <= 1 satisfies
-    u_l'a = c on S and u_m'a <= c - delta off S with margin delta > 1e-9;
-    each face then appears exactly once, keyed by its full vertex set.
+    u_l'a = c on S and u_m'a <= c - delta off S with margin delta >
+    EXPOSURE_MARGIN; each face then appears exactly once, keyed by its full
+    vertex set.  This costs 2^k - 1 LPs for k generators: it is the route
+    for custom gauges and the test oracle for _faces_below, which lists the
+    low-dimensional faces of the named kinds from their patterns.
     Raises GeneratorBlowup when B* has more generators than the cap.
     """
     u = generators(spec)
@@ -556,10 +553,174 @@ def enumerate_faces(spec: GaugeSpec) -> list:
     for mask in range(1, 2**k):
         in_set = [l for l in range(k) if mask >> l & 1]
         out_set = [l for l in range(k) if not mask >> l & 1]
-        if _exposure_margin(u, in_set, out_set) > 1e-9:
+        if _exposure_margin(u, in_set, out_set) > EXPOSURE_MARGIN:
             faces.append(_face_from_indices(u, in_set))
     faces.sort(key=lambda f: (f.dimension, f.vertices))
     return faces
+
+
+def _faces_below(spec: GaugeSpec, deficiency: int):
+    """Faces of B* of dimension below `deficiency` for the named kinds, read
+    off their patterns (Schneider & Tardivel, JMLR 2022; Bogdan et al.,
+    arXiv 2203.12086).  Yields (dimension, vertex_rows); the rows are the
+    generators lying on the face, in the order of generators(spec).
+
+    l1       -- sign vectors s with fewer than `deficiency` zeros: the cube
+                vertices agreeing with s on its support, dimension #zeros.
+    sup      -- signed subsets S without antipodal pairs, |S| <= deficiency:
+                the rows s_i e_i, dimension |S| - 1.
+    slope    -- signed ordered partitions with k > p - deficiency nonzero
+                clusters: the signed permutations of w giving the j-th
+                largest cluster the j-th block of weights with its signs
+                and the zero cluster the last block with free signs,
+                dimension p - k.
+    genlasso -- covectors of the rows of D: a zero set Z, the span closure
+                of rows of rank below `deficiency`, and signs sigma on the
+                other rows such that D_Z a = 0, sigma_i d_i'a >= 1 is
+                feasible (one phase-1 LP each): the rows D'(sigma + z_Z),
+                z_Z in {-1, 1}^Z, deduplicated, dimension rank(D_Z).
+
+    The faces are counted before any LP runs (closed forms; for genlasso
+    the bound sum_Z 2^(m - |Z|) on the covector LPs), and GeneratorBlowup
+    is raised when the count exceeds _FACE_LISTING_CAP.
+    """
+    p = spec.p
+    if spec.kind == "l1":
+        count = sum(math.comb(p, j) * 2 ** (p - j) for j in range(deficiency))
+    elif spec.kind == "sup":
+        count = sum(math.comb(p, j) * 2**j for j in range(1, deficiency + 1))
+    elif spec.kind == "slope":
+        count = sum(
+            math.comb(p, z) * math.factorial(k) * _stirling2(p - z, k) * 2 ** (p - z)
+            for k in range(p, p - deficiency, -1)
+            for z in range(p - k + 1)
+        )
+    elif spec.kind == "genlasso":
+        flats = _flats_below(spec.d, deficiency)
+        count = sum(2 ** (spec.d.shape[0] - len(z)) for _, z in flats)
+    else:
+        raise ValueError(f"no pattern listing for {spec.kind!r} gauges; use enumerate_faces")
+    if count > _FACE_LISTING_CAP:
+        raise GeneratorBlowup(
+            f"{spec.kind} gauge has {count} faces below dimension {deficiency} "
+            f"(cap {_FACE_LISTING_CAP})"
+        )
+    if spec.kind == "l1":
+        for zeros in range(deficiency):
+            for free in itertools.combinations(range(p), zeros):
+                support = [j for j in range(p) if j not in free]
+                for signs in itertools.product((-1.0, 1.0), repeat=p - zeros):
+                    yield zeros, _sign_vectors(p, dict(zip(support, signs)))
+    elif spec.kind == "sup":
+        units = np.vstack([np.eye(p), -np.eye(p)])  # generators() order
+        for size in range(1, deficiency + 1):
+            for subset in itertools.combinations(range(2 * p), size):
+                if len({j % p for j in subset}) == size:
+                    yield size - 1, units[list(subset)]
+    elif spec.kind == "slope":
+        w = spec.weight_array
+        for k in range(p, p - deficiency, -1):
+            for z in range(p - k + 1):
+                for zero in itertools.combinations(range(p), z):
+                    rest = [j for j in range(p) if j not in zero]
+                    for blocks in _ordered_partitions(rest, k):
+                        for signs in itertools.product((-1.0, 1.0), repeat=p - z):
+                            yield p - k, _slope_face_rows(w, blocks, zero, dict(zip(rest, signs)))
+    else:
+        d = spec.d
+        m = d.shape[0]
+        for r, zero in flats:
+            rest = [i for i in range(m) if i not in zero]
+            for sigma in itertools.product((-1.0, 1.0), repeat=len(rest)):
+                if rest and not _is_covector(d, zero, rest, np.array(sigma)):
+                    continue
+                rows = _sign_vectors(m, dict(zip(rest, sigma))) @ d
+                if not rest:  # the face is B* itself, which holds u_1 = 0
+                    rows = np.vstack([np.zeros((1, spec.p)), rows])
+                yield r, _dedup_rows(rows)
+
+
+def _sign_vectors(m: int, fixed: dict) -> np.ndarray:
+    """The vectors of {-1, 1}^m agreeing with `fixed` on its keys, in the
+    product order that generators() uses."""
+    choices = [(fixed[i],) if i in fixed else (-1.0, 1.0) for i in range(m)]
+    return np.array(list(itertools.product(*choices)))
+
+
+def _stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind: partitions of n items into k blocks."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
+
+
+def _ordered_partitions(items: list, k: int):
+    """Ordered partitions of items into k nonempty blocks."""
+    if k == 1:
+        yield (tuple(items),)
+        return
+    for size in range(1, len(items) - k + 2):
+        for first in itertools.combinations(items, size):
+            rest = [i for i in items if i not in first]
+            for tail in _ordered_partitions(rest, k - 1):
+                yield (first,) + tail
+
+
+def _slope_face_rows(w: np.ndarray, blocks: tuple, zero: tuple, sign: dict) -> np.ndarray:
+    """Signed permutations of w on the face of a signed ordered partition:
+    block j takes the j-th run of weights in any order, the zero cluster the
+    last run with any signs; rows sorted into generators() order, which is
+    lexicographic in (weight index per position, sign bit per position)."""
+    p = w.size
+    runs = []
+    start = 0
+    for block in blocks + (zero,):
+        runs.append([(block, perm) for perm in itertools.permutations(range(start, start + len(block)))])
+        start += len(block)
+    keys = []
+    for assignment in itertools.product(*runs):
+        order = [0] * p
+        for block, perm in assignment:
+            for j, l in zip(block, perm):
+                order[j] = l
+        for zero_signs in itertools.product((False, True), repeat=len(zero)):
+            positive = {j: s > 0 for j, s in sign.items()} | dict(zip(zero, zero_signs))
+            keys.append((tuple(order), tuple(positive[j] for j in range(p))))
+    keys.sort()
+    return np.array([w[list(order)] * np.where(positive, 1.0, -1.0) for order, positive in keys])
+
+
+def _flats_below(d: np.ndarray, deficiency: int) -> list:
+    """Flats of the rows of D (sets of rows closed under span) of rank below
+    `deficiency`, as (rank, sorted row tuple), built rank by rank from the
+    closure of the empty set.  Raises GeneratorBlowup as soon as the
+    covector-LP bound sum 2^(m - |Z|) exceeds _FACE_LISTING_CAP."""
+    m = d.shape[0]
+
+    def closure(rows) -> tuple:
+        basis = row_space_basis(d[list(rows)])
+        return tuple(i for i in range(m) if basis.contains(d[i]))
+
+    flats, level = [], [closure(())]
+    for r in range(deficiency):
+        if r:
+            level = sorted({closure(z + (i,)) for z in level for i in range(m) if i not in z})
+        flats += [(r, z) for z in level]
+        bound = sum(2 ** (m - len(z)) for _, z in flats)
+        if bound > _FACE_LISTING_CAP:
+            raise GeneratorBlowup(
+                f"genlasso gauge needs over {bound} covector LPs below dimension {deficiency} "
+                f"(cap {_FACE_LISTING_CAP})"
+            )
+    return flats
+
+
+def _is_covector(d: np.ndarray, zero: tuple, rest: list, sigma: np.ndarray) -> bool:
+    """Phase-1 test whether some a has D_Z a = 0 and sigma_i d_i'a >= 1 off Z."""
+    p = d.shape[1]
+    a_eq, b_eq = (d[list(zero)], np.zeros(len(zero))) if zero else (None, None)
+    problem = linprog.LpProblem(
+        np.zeros(p), a_eq=a_eq, b_eq=b_eq, a_le=-sigma[:, None] * d[rest], b_le=-np.ones(len(rest))
+    )
+    return linprog.feasibility(problem).feasible
 
 
 def _exposure_margin(u: np.ndarray, in_set, out_set) -> float:

@@ -30,6 +30,10 @@ UNBOUNDED = "unbounded"
 PIVOT_EPS = 1e-10
 # Entering-column threshold on reduced costs.
 ENTER_EPS = 1e-9
+# Constraints count as feasible when the phase-1 value (the least total
+# artificial infeasibility) is at most PHASE1_RTOL * (1 + ||b||_inf) over
+# the standard-form right-hand side b.
+PHASE1_RTOL = 1e-8
 
 
 class NumericalFailure(RuntimeError):
@@ -320,7 +324,7 @@ def _phase1(problem: LpProblem, max_iter: int | None):
     sx = _Simplex(form.a, form.b, form.c, max_iter, form.slack_of_row)
     phase1, cost1 = sx.solve_phase1()
     scale = 1.0 + float(np.abs(form.b).max(initial=0.0))
-    if phase1 <= 1e-8 * scale:
+    if phase1 <= PHASE1_RTOL * scale:
         return form, sx, phase1, None
     return form, sx, phase1, form.folded(sx.dual(cost1), np.zeros(form.n))
 

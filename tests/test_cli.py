@@ -86,6 +86,22 @@ def test_cli_check_unique_nonunique_exit_code(tmp_path, capsys):
     assert payload["certificate"]["violating_faces"]
 
 
+def test_cli_check_unique_slope_p4(tmp_path, capsys):
+    # slope(4) has 385 generators; the face listing needs no enumeration
+    write_matrix(tmp_path / "x.csv", np.random.default_rng(3).standard_normal((3, 4)))
+    write_vector(tmp_path / "w.csv", [4.0, 3.0, 2.0, 1.0])
+    rc = main(
+        [
+            "check-unique", "--penalty", "slope",
+            "--weights", str(tmp_path / "w.csv"), "--x", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert rc in (0, 4)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["faces_scanned"] == 384  # the vertices 2^4 4!
+    assert rc == (0 if payload["verdict"] else 4)
+
+
 def test_cli_threshold(tmp_path, capsys):
     write_vector(tmp_path / "b.csv", [2.0, 1.7, -1.9, 0.3])
     rc = main(["threshold", "--penalty", "sup", "--tau", "0.2", "--beta", str(tmp_path / "b.csv")])

@@ -18,6 +18,9 @@ from polygauge import (
     solve,
     zero_threshold,
 )
+from polygauge import linprog
+from polygauge.gauge import GeneratorBlowup
+from test_acceptance import STRONG_SIGNAL_X
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,78 @@ def test_uniqueness_fig2_design_is_unique(sup_path_case):
     rep = check_uniform_uniqueness(sup_path_case["spec"], sup_path_case["x"])
     assert rep.verdict
     assert rep.margin > 1e-7
+
+
+def _count_lps(monkeypatch) -> dict:
+    calls = {"lps": 0}
+    for name in ("feasibility", "lp_solve"):
+        solver = getattr(linprog, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls["lps"] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(linprog, name, counted)
+    return calls
+
+
+def test_uniqueness_verdict_is_the_phase1_test():
+    # every face LP of _meets_face has b = (0, ..., 0, 1), so a face counts
+    # as met iff its phase-1 value is at most PHASE1_RTOL * (1 + 1)
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for spec in [GaugeSpec.l1(3), GaugeSpec.sup(4), GaugeSpec.tv(4), GaugeSpec.slope([3.0, 2.0, 1.0])]:
+        for trial in range(4):
+            x = rng.standard_normal((int(rng.integers(1, spec.p)), spec.p))
+            if trial % 2:
+                x[0] = np.eye(spec.p)[0]
+            rep = check_uniform_uniqueness(spec, x)
+            assert rep.verdict == (rep.margin > linprog.PHASE1_RTOL * 2)
+            verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec, n, faces",
+    [
+        (GaugeSpec.sup(20), 18, 2 * 20 + 4 * 190),  # vertices and edges
+        (GaugeSpec.tv(8), 6, 2**7 + 7 * 2**6),
+        (GaugeSpec.slope([4.0, 3.0, 2.0, 1.0]), 2, 384 + 768),
+    ],
+    ids=["sup-20", "tv-8", "slope-4"],
+)
+def test_uniqueness_beyond_the_enumeration_cap(monkeypatch, spec, n, faces):
+    # 41, 129 and 385 generators: enumerate_faces refuses all three
+    lps = _count_lps(monkeypatch)
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((n, spec.p))
+    rep = check_uniform_uniqueness(spec, x)
+    assert rep.verdict  # a generic row(X) misses the faces below def(X)
+    assert rep.certificate["faces_scanned"] == faces
+    # one face LP each, plus one covector LP per tv sign vector
+    assert lps["lps"] == faces * (2 if spec.kind == "genlasso" else 1)
+    if spec.kind == "sup":  # e_1 in row(X): the vertices +-e_1 are met
+        e1 = np.eye(spec.p)[0]
+        rep = check_uniform_uniqueness(spec, np.vstack([e1, x]))
+        assert not rep.verdict
+        violating = rep.certificate["violating_faces"]
+        assert {tuple(f["generator_rows"][0] + 0.0) for f in violating} == {tuple(e1), tuple(-e1 + 0.0)}
+
+
+def test_uniqueness_refuses_before_any_lp(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    x = np.random.default_rng(31).standard_normal((38, 40))
+    with pytest.raises(GeneratorBlowup):
+        check_uniform_uniqueness(GaugeSpec.l1(40), x)
+    assert lps["lps"] == 0
+
+
+def test_uniqueness_criterion7_lp_budget(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    rep = check_uniform_uniqueness(GaugeSpec.sup(6), STRONG_SIGNAL_X)
+    assert rep.verdict
+    assert rep.certificate["faces_scanned"] == 72
+    assert lps["lps"] <= 100
 
 
 def test_unique_designs_give_identical_minimizers(sup_path_case):

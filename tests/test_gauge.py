@@ -19,7 +19,8 @@ from polygauge import (
     tf_matrix,
     tv_matrix,
 )
-from polygauge.gauge import round_sig
+from polygauge.conditions import check_uniform_uniqueness
+from polygauge.gauge import _faces_below, round_sig
 
 ALL_SMALL_SPECS = [
     GaugeSpec.l1(3),
@@ -390,6 +391,99 @@ def test_enumerate_faces_hexagon_with_vertex():
 def test_enumerate_faces_cap():
     with pytest.raises(GeneratorBlowup):
         enumerate_faces(GaugeSpec.l1(5))  # 33 generators
+
+
+# ---------------------------------------------------------------------------
+# faces listed from patterns, against the exposure-LP enumeration
+
+CRITERION3_D = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]])
+
+ORACLE_SPECS = {
+    "l1-2": GaugeSpec.l1(2),
+    "l1-3": GaugeSpec.l1(3),
+    "sup-2": GaugeSpec.sup(2),
+    "sup-3": GaugeSpec.sup(3),
+    "sup-4": GaugeSpec.sup(4),
+    "sup-5": GaugeSpec.sup(5),
+    "tv-3": GaugeSpec.tv(3),
+    "tv-4": GaugeSpec.tv(4),
+    "criterion3": GaugeSpec.genlasso(CRITERION3_D),
+    # a repeated and a zero row: the zero sets are never empty
+    "genlasso-degenerate": GaugeSpec.genlasso([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]]),
+    "slope-2": GaugeSpec.slope([2.0, 1.0]),
+}
+
+
+def _face_key(dimension, rows):
+    return dimension, frozenset(tuple(r) for r in round_sig(rows))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_faces_below_match_enumerated_faces(name):
+    spec = ORACLE_SPECS[name]
+    u = generators(spec)
+    index = {tuple(r): l for l, r in enumerate(round_sig(u))}
+    faces = enumerate_faces(spec)  # once per spec, filtered per deficiency
+    for deficiency in range(1, spec.p + 1):
+        expected = {_face_key(f.dimension, u[list(f.vertices)]) for f in faces if f.dimension < deficiency}
+        listed = list(_faces_below(spec, deficiency))
+        keys = [_face_key(dim, rows) for dim, rows in listed]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == expected
+        for _, rows in listed:  # the generators on the face, in generator order
+            positions = [index[tuple(r)] for r in round_sig(rows)]
+            assert positions == sorted(positions)
+
+
+UNIQUENESS_SPECS = [
+    GaugeSpec.l1(3),
+    GaugeSpec.sup(4),
+    GaugeSpec.tv(4),
+    GaugeSpec.genlasso(CRITERION3_D),
+    GaugeSpec.slope([2.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("spec", UNIQUENESS_SPECS, ids=lambda s: f"{s.kind}-{s.p}")
+def test_uniqueness_pattern_route_matches_enumeration_route(spec):
+    rng = np.random.default_rng(17)
+    enumerated = GaugeSpec.custom(generators(spec))  # same rows, enumerate_faces route
+    for trial in range(2):
+        x = rng.standard_normal((int(rng.integers(1, spec.p)), spec.p))
+        if trial:
+            x[0] = np.eye(spec.p)[0]  # a coordinate direction in row(X)
+        listed = check_uniform_uniqueness(spec, x)
+        scanned = check_uniform_uniqueness(enumerated, x)
+        assert listed.verdict == scanned.verdict
+        assert listed.certificate["faces_scanned"] == scanned.certificate["faces_scanned"]
+        assert abs(listed.margin - scanned.margin) <= 1e-12
+        assert {_face_key(f["dimension"], f["generator_rows"]) for f in listed.certificate["violating_faces"]} == {
+            _face_key(f["dimension"], f["generator_rows"]) for f in scanned.certificate["violating_faces"]
+        }
+        assert all("vertices" not in f for f in listed.certificate["violating_faces"])
+        assert all("vertices" in f for f in scanned.certificate["violating_faces"])
+
+
+def test_faces_below_slope3_counts_and_representatives():
+    spec = GaugeSpec.slope([3.0, 2.0, 1.0])
+    u = generators(spec)
+    listed = list(_faces_below(spec, 3))
+    counts = [sum(dim == j for dim, _ in listed) for j in range(3)]
+    assert counts == [48, 72, 26]
+    keys = set()
+    for dim, rows in listed:
+        # the barycenter has the face's signed ordered partition: nonzero
+        # clusters get the means of their weight runs, the zero cluster 0
+        beta = rows.mean(axis=0)
+        assert _face_key(dim, rows) == _face_key(dim, u[list(active_indices(spec, beta))])
+        assert complexity(spec, beta) == spec.p - dim
+        keys.add(_face_key(dim, rows))
+    assert len(keys) == len(listed)
+
+
+def test_faces_below_refuses_custom_gauges():
+    with pytest.raises(ValueError):
+        list(_faces_below(GaugeSpec.custom(np.eye(2)), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_acceptance import STRONG_SIGNAL_X
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import sys
 import numpy as np
-from polygauge import GaugeSpec, check_accessibility, check_nrc_geometric, solve, zero_threshold
+from polygauge import (
+    GaugeSpec, check_accessibility, check_nrc_geometric, check_uniform_uniqueness, solve, zero_threshold,
+)
 zero_threshold(GaugeSpec.tv(4), np.eye(4), np.array([1.0, -0.5, 0.25, -0.75]))
 spec = GaugeSpec.custom([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 zero_threshold(spec, np.eye(2), np.array([0.3, -0.2]))
@@ -21,8 +25,10 @@ beta[:2] = [1.0, -0.5]
 check_nrc_geometric(GaugeSpec.l1(10), rng.standard_normal((6, 10)), beta)
 slope = GaugeSpec.slope(np.arange(12.0, 0.0, -1.0))
 check_accessibility(slope, rng.standard_normal((6, 12)), np.arange(12.0))
+assert check_uniform_uniqueness(GaugeSpec.sup(6), np.array(CRITERION7_X)).verdict
+check_uniform_uniqueness(GaugeSpec.tv(4), rng.standard_normal((2, 4)))
 assert "scipy" not in sys.modules, "polygauge imported scipy"
-"""
+""".replace("CRITERION7_X", repr(STRONG_SIGNAL_X.tolist()))
 
 
 def test_runtime_does_not_import_scipy():
