@@ -18,6 +18,7 @@ from .gauge import (
     GeneratorBlowup,
     active_indices,
     active_set,
+    _dual_gauge,
     _faces_below,
     enumerate_faces,
     generators,
@@ -302,13 +303,8 @@ def zero_threshold(spec: GaugeSpec, x, y) -> float:
     (u_1 = 0 makes t conv(U) = {U'gamma : gamma >= 0, 1'gamma <= t}).
     """
     v = as_matrix(x).T @ as_vector(y)
-    if spec.kind == "l1":
-        return float(np.max(np.abs(v), initial=0.0))
-    if spec.kind == "sup":
-        return float(np.sum(np.abs(v)))
-    if spec.kind == "slope":
-        a = np.sort(np.abs(v))[::-1]
-        return float(np.max(np.cumsum(a) / np.cumsum(np.asarray(spec.weights))))
+    if spec.kind in ("l1", "sup", "slope"):
+        return _dual_gauge(spec.kind, v, spec.weights)
     if spec.kind == "genlasso":
         try:
             return min_linf_representation(spec.d.T, v)

@@ -224,21 +224,35 @@ def generators(spec: GaugeSpec) -> np.ndarray:
     return u
 
 
+def _pen(kind: str, b: np.ndarray, w=None) -> float:
+    """pen(b) on an unvalidated float vector for l1, sup and slope (weights
+    w); for genlasso and custom, b is the image D beta or U beta."""
+    if kind in ("l1", "genlasso"):
+        return float(np.abs(b).sum())
+    if kind == "sup":
+        return float(np.abs(b).max(initial=0.0))
+    if kind == "slope":
+        return float(np.sort(np.abs(b))[::-1] @ w)
+    return float(b.max(initial=0.0))
+
+
+def _dual_gauge(kind: str, s: np.ndarray, w=None) -> float:
+    """min {t : s in t B*} on an unvalidated float vector, for l1, sup and
+    slope (weights w)."""
+    if kind == "l1":
+        return float(np.abs(s).max(initial=0.0))
+    if kind == "sup":
+        return float(np.abs(s).sum())
+    return float(np.max(np.cumsum(np.sort(np.abs(s))[::-1]) / np.cumsum(w)))
+
+
 def pen_eval(spec: GaugeSpec, b) -> float:
     """Gauge value; closed form for named kinds, generator max otherwise."""
     b = as_vector(b)
     if b.shape[0] != spec.p:
         raise ValueError(f"vector length {b.shape[0]} != ambient dimension {spec.p}")
-    if spec.kind == "l1":
-        return float(np.sum(np.abs(b)))
-    if spec.kind == "sup":
-        return float(np.max(np.abs(b), initial=0.0))
-    if spec.kind == "slope":
-        a = np.sort(np.abs(b))[::-1]
-        return float(a @ np.asarray(spec.weights))
-    if spec.kind == "genlasso":
-        return float(np.sum(np.abs(spec.d @ b)))
-    return float(np.max(spec.u @ b, initial=0.0))
+    image = {"genlasso": spec.d, "custom": spec.u}.get(spec.kind)
+    return _pen(spec.kind, b if image is None else image @ b, spec.weights)
 
 
 def dual_feasibility(spec: GaugeSpec, s) -> float:
@@ -252,47 +266,24 @@ def dual_feasibility(spec: GaugeSpec, s) -> float:
     s = as_vector(s)
     if s.shape[0] != spec.p:
         raise ValueError("dimension mismatch")
-    if spec.kind == "l1":
-        return float(np.max(np.abs(s), initial=0.0) - 1.0)
-    if spec.kind == "sup":
-        return float(np.sum(np.abs(s)) - 1.0)
-    if spec.kind == "slope":
-        a = np.sort(np.abs(s))[::-1]
-        num = np.cumsum(a)
-        den = np.cumsum(np.asarray(spec.weights))
-        return float(np.max(num / den) - 1.0)
-    if spec.kind == "genlasso":
-        m = spec.d.shape[0]
-        p = spec.p
-        # vars (z, t): min t  s.t.  -t <= s - D'z <= t, -1 <= z <= 1
-        c = np.zeros(m + 1)
-        c[-1] = 1.0
-        dt = spec.d.T
-        a_le = np.vstack(
-            [
-                np.hstack([dt, -np.ones((p, 1))]),
-                np.hstack([-dt, -np.ones((p, 1))]),
-            ]
-        )
-        b_le = np.concatenate([s, -s])
-        bounds = [(-1.0, 1.0)] * m + [(0.0, None)]
-        sol = linprog.lp_solve(linprog.LpProblem(c, a_le=a_le, b_le=b_le, bounds=bounds))
-        return float(sol.value)
-    # custom: sup-norm distance to conv(U); the zero row absorbs slack mass
-    u = spec.u
-    k, p = u.shape
-    c = np.zeros(k + 1)
+    if spec.kind in ("l1", "sup", "slope"):
+        return _dual_gauge(spec.kind, s, spec.weights) - 1.0
+    # vars (z, t): min t  s.t.  -t <= s - M'z <= t, with -1 <= z <= 1 for
+    # genlasso (M = D) and z in the unit simplex for custom (M = U; the zero
+    # row absorbs slack mass, so 1'z <= 1 with z >= 0 suffices)
+    mt = (spec.d if spec.kind == "genlasso" else spec.u).T
+    m = mt.shape[1]
+    c = np.zeros(m + 1)
     c[-1] = 1.0
-    ut = u.T
-    a_le = np.vstack(
-        [
-            np.hstack([ut, -np.ones((p, 1))]),
-            np.hstack([-ut, -np.ones((p, 1))]),
-            np.hstack([np.ones((1, k)), np.zeros((1, 1))]),
-        ]
-    )
-    b_le = np.concatenate([s, -s, [1.0]])
-    bounds = [(0.0, None)] * (k + 1)
+    ones = np.ones((spec.p, 1))
+    a_le = np.vstack([np.hstack([mt, -ones]), np.hstack([-mt, -ones])])
+    b_le = np.concatenate([s, -s])
+    if spec.kind == "genlasso":
+        bounds = [(-1.0, 1.0)] * m + [(0.0, None)]
+    else:
+        a_le = np.vstack([a_le, np.append(np.ones(m), 0.0)])
+        b_le = np.append(b_le, 1.0)
+        bounds = [(0.0, None)] * (m + 1)
     sol = linprog.lp_solve(linprog.LpProblem(c, a_le=a_le, b_le=b_le, bounds=bounds))
     return float(sol.value)
 
@@ -420,7 +411,7 @@ def active_set(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> PatternFingerpri
 
 def _active_from_matrix(u: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple:
     vals = u @ b
-    pen = float(np.max(vals, initial=0.0))
+    pen = _pen("custom", vals)
     tol = rel_tol * max(1.0, pen)
     return tuple(int(i) for i in np.flatnonzero(vals >= pen - tol))
 

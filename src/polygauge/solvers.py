@@ -1,7 +1,18 @@
 """Minimizers of the gauge-penalized least-squares objective.
 
-Accelerated proximal gradient (with backtracking, periodic restarts and a
-monotone safeguard) handles the prox-friendly penalties (l1, slope, sup).
+Accelerated proximal gradient (FISTA, Beck & Teboulle 2009) handles the
+prox-friendly penalties (l1, slope, sup).  ``solve`` validates its inputs
+once; the loop then calls unvalidated prox, penalty and dual-gauge kernels,
+the same ones the public prox functions, ``pen_eval`` and
+``dual_feasibility`` wrap.  The step starts at 1/L with L the exact largest
+eigenvalue of X'X and halves while the quadratic upper bound fails by more
+than BACKTRACK_RTOL * (1 + |bound|), or until it falls below STEP_FLOOR.
+A candidate whose objective exceeds the best so far by more than
+MONOTONE_RTOL * max(1, |best|) is replaced by a plain proximal step from
+the current point (monotone safeguard; a smaller excess is round-off).
+Momentum restarts on that safeguard, every ``restart_period`` iterations,
+and when it points uphill, (z - b_new)'(b_new - b) > 0 with z the
+extrapolated point (gradient restart, O'Donoghue & Candes 2015).
 Generalized-lasso and custom gauges share one ADMM on the split z = M b,
 with M = D and M = U (the generator matrix) respectively, and a residual-
 balanced penalty parameter.  Its z-prox is exact: soft thresholding for
@@ -18,6 +29,7 @@ the exact pattern extractors usable on solver output.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,11 +38,18 @@ import numpy as np
 from .gauge import (
     GaugeSpec,
     PatternFingerprint,
+    _dual_gauge,
+    _pen,
     active_set,
     dual_feasibility,
     pen_eval,
 )
 from .numerics import as_matrix, as_vector, rank
+
+
+MONOTONE_RTOL = 1e-12  # FISTA's safeguard takes a smaller rise as round-off
+BACKTRACK_RTOL = 1e-12  # slack of the backtracking quadratic upper bound
+STEP_FLOOR = 1e-18  # backtracking stops halving below this step
 
 
 class NotConvergedError(RuntimeError):
@@ -41,12 +60,15 @@ class NotConvergedError(RuntimeError):
 # proximal operators
 
 
+def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def prox_l1(v, t: float) -> np.ndarray:
     """Soft threshold: componentwise sign(v) * max(|v| - t, 0)."""
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    v = as_vector(v)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return _soft_threshold(as_vector(v), t)
 
 
 def _simplex_threshold(a: np.ndarray, radius: float) -> float:
@@ -78,17 +100,22 @@ def _prox_max(v, t: float) -> np.ndarray:
 
 
 def project_l1_ball(v, radius: float) -> np.ndarray:
-    """Euclidean projection onto {w : ||w||_1 <= radius} (Duchi algorithm)."""
-    v = as_vector(v)
+    """Euclidean projection onto {w : ||w||_1 <= radius}: by Moreau, v minus
+    the prox of radius * ||.||_inf."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    a = np.abs(v)
-    if a.sum() <= radius:
+    v = as_vector(v)
+    return v - _clip_linf(v, radius)
+
+
+def _clip_linf(v: np.ndarray, t: float) -> np.ndarray:
+    if t == 0:
         return v.copy()
-    if radius == 0:
+    a = np.abs(v)
+    if a.sum() <= t:
         return np.zeros_like(v)
-    theta = _simplex_threshold(a, radius)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    theta = _simplex_threshold(a, t)
+    return np.clip(v, -theta, theta)
 
 
 def prox_linf(v, t: float) -> np.ndarray:
@@ -99,33 +126,12 @@ def prox_linf(v, t: float) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    v = as_vector(v)
+    return _clip_linf(as_vector(v), t)
+
+
+def _sorted_l1(v: np.ndarray, w: np.ndarray, t: float) -> np.ndarray:
     if t == 0:
         return v.copy()
-    a = np.abs(v)
-    if a.sum() <= t:
-        return np.zeros_like(v)
-    theta = _simplex_threshold(a, t)
-    return np.clip(v, -theta, theta)
-
-
-def prox_sorted_l1(v, weights, t: float) -> np.ndarray:
-    """Exact prox of t * sorted-l1 norm: sort, isotonic stack, unsort.
-
-    weights must be strictly decreasing positive; merged blocks share one
-    float value so tied magnitudes compare equal exactly.
-    """
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
-    v = as_vector(v)
-    w = as_vector(weights)
-    if w.size != v.size:
-        raise ValueError("weight length must match vector length")
-    if np.any(w <= 0) or np.any(np.diff(w) >= 0):
-        raise ValueError("weights must be strictly decreasing and positive")
-    if t == 0:
-        return v.copy()
-    sgn = np.sign(v)
     a = np.abs(v)
     order = np.argsort(-a, kind="stable")
     z = a[order] - t * w
@@ -145,7 +151,24 @@ def prox_sorted_l1(v, weights, t: float) -> np.ndarray:
     )
     out = np.empty_like(a)
     out[order] = sorted_out
-    return sgn * out
+    return np.sign(v) * out
+
+
+def prox_sorted_l1(v, weights, t: float) -> np.ndarray:
+    """Exact prox of t * sorted-l1 norm: sort, isotonic stack, unsort.
+
+    weights must be strictly decreasing positive; merged blocks share one
+    float value so tied magnitudes compare equal exactly.
+    """
+    if t < 0:
+        raise ValueError("threshold must be nonnegative")
+    v = as_vector(v)
+    w = as_vector(weights)
+    if w.size != v.size:
+        raise ValueError("weight length must match vector length")
+    if np.any(w <= 0) or np.any(np.diff(w) >= 0):
+        raise ValueError("weights must be strictly decreasing and positive")
+    return _sorted_l1(v, w, t)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +196,10 @@ class SolveResult:
 
     @property
     def objective(self) -> float:
+        """Last entry of the trace.  FISTA's trace holds the best objective
+        so far; the returned beta's own objective may exceed it by at most
+        MONOTONE_RTOL * max(1, |objective|), plus the backtracking slack
+        when that step was a safeguard step."""
         return self.objective_trace[-1] if self.objective_trace else float("nan")
 
 
@@ -187,40 +214,21 @@ def kkt_residual(spec: GaugeSpec, x, y, lam: float, beta) -> tuple:
     return max(margin, gap), g
 
 
-def _spectral_norm_sq(x: np.ndarray, iters: int = 50) -> float:
-    """Largest eigenvalue of X'X by power iteration.
-
-    The start vector comes from a fixed-seed generator so it is generic
-    (an aligned deterministic start such as all-ones can be orthogonal to
-    the leading eigenspace); a Frobenius upper bound covers the remaining
-    degenerate case, which only costs step-size slack under backtracking.
-    """
-    p = x.shape[1]
-    if p == 0 or x.size == 0:
+def _spectral_norm_sq(x: np.ndarray) -> float:
+    """Largest eigenvalue of X'X, exact: eigvalsh of the smaller Gram
+    matrix (X'X or XX'), which share their nonzero eigenvalues."""
+    if x.size == 0:
         return 0.0
-    v = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64))).standard_normal(p)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = x.T @ (x @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    est = float(np.linalg.norm(x @ v) ** 2)
-    if est <= 0.0:
-        est = float(np.sum(x * x))  # Frobenius bound; zero only for zero X
-    return est
+    gram = x.T @ x if x.shape[1] <= x.shape[0] else x @ x.T
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def _prox_for(spec: GaugeSpec):
-    if spec.kind == "l1":
-        return prox_l1
-    if spec.kind == "sup":
-        return prox_linf
+    """The unvalidated prox kernel (v, t) -> prox of t * pen at v."""
     if spec.kind == "slope":
         w = np.asarray(spec.weights)
-        return lambda v, t: prox_sorted_l1(v, w, t)
-    raise ValueError(f"no closed-form prox for kind {spec.kind!r}")
+        return lambda v, t: _sorted_l1(v, w, t)
+    return _soft_threshold if spec.kind == "l1" else _clip_linf
 
 
 def solve(
@@ -254,56 +262,55 @@ def solve(
     return _admm(spec, x, y, lam, opts, start)
 
 
-def _objective(spec, x, y, lam, b):
-    r = y - x @ b
-    return 0.5 * float(r @ r) + lam * pen_eval(spec, b)
-
-
 def _fista(spec, x, y, lam, opts, start):
-    p = x.shape[1]
+    """Accelerated proximal gradient on validated inputs (see the module
+    docstring for its safeguard, restarts and KKT test)."""
+    kind = spec.kind
+    w = None if spec.weights is None else np.asarray(spec.weights)
     prox = _prox_for(spec)
-    beta = np.zeros(p) if start is None else as_vector(start).copy()
-    lip = max(_spectral_norm_sq(x), 1e-12)
-    step = 1.0 / lip
-    z = beta.copy()
-    t_k = 1.0
-    obj = _objective(spec, x, y, lam, beta)
+    beta = np.zeros(spec.p) if start is None else as_vector(start).copy()
+    step = 1.0 / max(_spectral_norm_sq(x), 1e-12)
+    r = x @ beta - y
+    pen_b = _pen(kind, beta, w)
+    obj = 0.5 * float(r @ r) + lam * pen_b
     trace = [obj]
-    it = 0
-    converged = False
+    z, t_k, it = beta, 1.0, 0
     # always take at least one proximal step: a warm start may satisfy the
     # KKT tolerance while carrying junk components that the prox removes
     while it < opts.max_iter:
         it += 1
-        cand, step = _backtrack_step(spec, x, y, lam, z, step, prox)
-        cand_obj = _objective(spec, x, y, lam, cand)
-        if cand_obj > obj:
+        cand, rc, smooth, step = _backtrack_step(x, y, lam, z, step, prox)
+        pen_c = _pen(kind, cand, w)
+        cand_obj = smooth + lam * pen_c
+        if cand_obj > obj + MONOTONE_RTOL * max(1.0, abs(obj)):
             # monotone safeguard: plain proximal step from the current point
-            cand, step = _backtrack_step(spec, x, y, lam, beta, step, prox)
-            cand_obj = _objective(spec, x, y, lam, cand)
+            cand, rc, smooth, step = _backtrack_step(x, y, lam, beta, step, prox)
+            pen_c = _pen(kind, cand, w)
+            cand_obj = smooth + lam * pen_c
             t_k = 1.0
-        beta_prev = beta
-        beta = cand
+        delta = cand - beta
+        if float((z - cand) @ delta) > 0.0:
+            t_k = 1.0  # gradient restart: the momentum points uphill
+        beta, pen_b = cand, pen_c
         obj = min(obj, cand_obj)
         trace.append(obj)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        z = beta + ((t_k - 1.0) / t_next) * (beta - beta_prev)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        z = beta + ((t_k - 1.0) / t_next) * delta
         t_k = t_next
         if it % opts.restart_period == 0:
-            t_k = 1.0
-            z = beta.copy()
+            t_k, z = 1.0, beta
         if it == 1 or it % opts.check_every == 0:
-            kkt, g = kkt_residual(spec, x, y, lam, beta)
-            if kkt <= opts.tol:
-                converged = True
+            # the KKT test of kkt_residual, from the accepted step's residual
+            g = x.T @ -rc / lam
+            if max(_dual_gauge(kind, g, w) - 1.0, abs(pen_b - float(g @ beta))) <= opts.tol:
                 break
     kkt, g = kkt_residual(spec, x, y, lam, beta)
-    converged = kkt <= opts.tol
-    return SolveResult(beta, x @ beta, g, kkt, it, converged, trace)
+    return SolveResult(beta, x @ beta, g, kkt, it, kkt <= opts.tol, trace)
 
 
-def _backtrack_step(spec, x, y, lam, z, step, prox):
-    """One proximal-gradient step from z with halving backtracking."""
+def _backtrack_step(x, y, lam, z, step, prox):
+    """One proximal-gradient step from z with halving backtracking; returns
+    the point, its residual X cand - y, its smooth part and the step."""
     r = x @ z - y
     gz = 0.5 * float(r @ r)
     grad = x.T @ r
@@ -311,10 +318,10 @@ def _backtrack_step(spec, x, y, lam, z, step, prox):
         cand = prox(z - step * grad, step * lam)
         diff = cand - z
         rc = x @ cand - y
-        lhs = 0.5 * float(rc @ rc)
+        smooth = 0.5 * float(rc @ rc)
         quad = gz + float(grad @ diff) + float(diff @ diff) / (2.0 * step)
-        if lhs <= quad + 1e-12 * (1.0 + abs(quad)) or step < 1e-18:
-            return cand, step
+        if smooth <= quad + BACKTRACK_RTOL * (1.0 + abs(quad)) or step < STEP_FLOOR:
+            return cand, rc, smooth, step
         step *= 0.5
 
 
@@ -336,7 +343,8 @@ def _admm(spec, x, y, lam, opts, start):
     beta = np.zeros(p) if start is None else as_vector(start).copy()
     z = d @ beta
     dual_u = np.zeros(m)
-    trace = [_objective(spec, x, y, lam, beta)]
+    r = y - x @ beta
+    trace = [0.5 * float(r @ r) + lam * _pen(spec.kind, z)]  # pen of M b
     best = (np.inf, beta.copy(), 0)
     it = 0
     check_every = 50
@@ -350,7 +358,8 @@ def _admm(spec, x, y, lam, opts, start):
         r_dual = float(np.linalg.norm(rho * (d.T @ (z_new - z))))
         dual_u = dual_u + db - z_new
         z = z_new
-        trace.append(_objective(spec, x, y, lam, beta))
+        r = y - x @ beta
+        trace.append(0.5 * float(r @ r) + lam * _pen(spec.kind, db))
         if it % 25 == 0:
             if r_primal > 10.0 * r_dual:
                 rho *= 2.0

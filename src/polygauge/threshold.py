@@ -67,11 +67,8 @@ def threshold_sup(beta_hat, tau: float) -> ThresholdResult:
         return ThresholdResult(b, tau, out, {"rule": "all-zero", "sup": m})
     out = b.copy()
     hi = m - tau
-    for j in range(b.size):
-        if b[j] >= m - 2.0 * tau and b[j] >= 0.0:
-            out[j] = hi
-        elif b[j] <= -m + 2.0 * tau and b[j] < 0.0:
-            out[j] = -hi
+    out[(b >= m - 2.0 * tau) & (b >= 0.0)] = hi
+    out[(b <= -m + 2.0 * tau) & (b < 0.0)] = -hi
     return ThresholdResult(b, tau, out, {"rule": "cluster-collapse", "sup": m})
 
 

@@ -125,6 +125,17 @@ def test_dual_feasibility_custom_outside():
     assert dual_feasibility(spec, [2.0, -2.0]) > 0.5
 
 
+def test_dual_feasibility_lp_routes_agree():
+    # genlasso and custom pose the same sup-norm distance LP over the same B*
+    assert abs(dual_feasibility(GaugeSpec.tv(2), [2.0, 0.0]) - 1.0) < 1e-12
+    rng = np.random.default_rng(13)
+    for spec in [GaugeSpec.tv(3), GaugeSpec.tf(4)]:
+        custom = GaugeSpec.custom(generators(spec))
+        for scale in (0.2, 3.0):
+            s = rng.standard_normal(spec.p) * scale
+            assert abs(dual_feasibility(spec, s) - dual_feasibility(custom, s)) < 1e-9
+
+
 def test_dual_feasibility_slope_at_weight_vector():
     w = [3.0, 2.0, 1.0]
     assert abs(dual_feasibility(GaugeSpec.slope(w), w)) < 1e-12

@@ -81,6 +81,25 @@ def test_project_l1_ball_radius_zero():
     assert np.array_equal(project_l1_ball([-3.0, 0.0, 0.5], 0.0), np.zeros(3))
 
 
+def test_project_l1_ball_is_the_duchi_formula():
+    # v minus the sup-norm prox equals sign(v) max(|v| - theta, 0) (Duchi)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        v = rng.standard_normal(7) * 2.0
+        v[4] = -v[1]
+        radius = float(rng.uniform(0.1, 4.0))
+        a = np.abs(v)
+        if a.sum() <= radius:
+            ref = v
+        else:
+            u = np.sort(a)[::-1]
+            css = np.cumsum(u)
+            k = np.arange(1, 8)
+            rho = k[u - (css - radius) / k > 0][-1]
+            ref = np.sign(v) * np.maximum(a - (css[rho - 1] - radius) / rho, 0.0)
+        assert np.array_equal(project_l1_ball(v, radius), ref)
+
+
 def test_project_l1_ball_norm():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -7,11 +7,18 @@ from polygauge import (
     SolveOptions,
     active_set,
     generators,
+    kkt_residual,
     named_pattern,
     pen_eval,
+    prox_l1,
+    prox_linf,
+    prox_sorted_l1,
     solution_path,
     solve,
+    zero_threshold,
 )
+from polygauge.solvers import _prox_for, _spectral_norm_sq
+from test_acceptance import STRONG_SIGNAL_BETA, STRONG_SIGNAL_EPS, STRONG_SIGNAL_X
 
 
 ALL_KINDS = [
@@ -203,3 +210,77 @@ def test_solution_ties_are_exact_for_pattern_extraction(sup_path_case):
     res = solve(sup_path_case["spec"], sup_path_case["x"], sup_path_case["y"], 1.0, SolveOptions(tol=1e-9))
     assert res.beta[1] == res.beta[2]  # bitwise tie from the shared clip
     assert named_pattern("sup", res.beta).values == (0, 1, 1)
+
+
+FISTA_KINDS = [GaugeSpec.l1(6), GaugeSpec.sup(6), GaugeSpec.slope([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])]
+
+
+@pytest.mark.parametrize("spec", FISTA_KINDS)
+def test_in_loop_kkt_test_stops_neither_early_nor_late(spec):
+    # the loop takes its KKT test from the accepted step's residual; it must
+    # agree with the public kkt_residual at every iteration
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        x = rng.standard_normal((5, 6))
+        y = rng.standard_normal(5)
+        lam = 0.3 * zero_threshold(spec, x, y)
+        opts = SolveOptions(tol=1e-8, check_every=1)
+        res = solve(spec, x, y, lam, opts)
+        assert res.converged and res.iterations >= 2
+        assert kkt_residual(spec, x, y, lam, res.beta)[0] <= opts.tol
+        early = solve(spec, x, y, lam, SolveOptions(tol=1e-8, check_every=1, max_iter=res.iterations - 1))
+        assert not early.converged
+        assert early.kkt_residual > opts.tol
+
+
+def test_loop_prox_kernels_equal_public_prox_bitwise():
+    rng = np.random.default_rng(7)
+    w = np.array([4.0, 3.5, 2.0, 1.75, 1.0, 0.5, 0.25, 0.1])
+    cases = [
+        (GaugeSpec.l1(8), prox_l1),
+        (GaugeSpec.sup(8), prox_linf),
+        (GaugeSpec.slope(w), lambda v, t: prox_sorted_l1(v, w, t)),
+    ]
+    for _ in range(40):
+        v = rng.standard_normal(8) * 2.0
+        v[[3, 5]] = v[0]
+        v[7] = -v[0]  # planted ties in magnitude
+        t = float(rng.uniform(0.05, 2.0))
+        for spec, public in cases:
+            out = _prox_for(spec)(v, t)
+            ref = public(v, t)
+            assert out.tobytes() == ref.tobytes()
+            assert abs(out[0]) == abs(out[3]) == abs(out[5]) == abs(out[7])
+
+
+def test_criterion7_strong_signal_solve_iteration_budget():
+    # sup(6) at r = 100: the exact monotone test restarted this solve on
+    # round-off and took 2,900 iterations
+    y = STRONG_SIGNAL_X @ (100.0 * STRONG_SIGNAL_BETA) + STRONG_SIGNAL_EPS
+    res = solve(GaugeSpec.sup(6), STRONG_SIGNAL_X, y, 1.0, SolveOptions(tol=1e-8))
+    assert res.converged
+    assert res.iterations <= 1000
+
+
+def test_spectral_norm_sq_is_exact():
+    rng = np.random.default_rng(8)
+    low_rank = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 9))
+    for x in [rng.standard_normal((12, 5)), rng.standard_normal((4, 11)), low_rank,
+              low_rank.T, np.zeros((3, 4))]:
+        ref = np.linalg.norm(x, 2) ** 2
+        assert abs(_spectral_norm_sq(x) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("spec", [GaugeSpec.tv(4), ALL_KINDS[4]])
+def test_admm_trace_is_the_objective_bitwise(spec):
+    # each trace entry equals 0.5 ||y - X b||^2 + lam pen_eval(spec, b) at
+    # its iterate; below 50 iterations the returned beta is the last one
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((5, spec.p))
+    y = rng.standard_normal(5)
+    start = rng.standard_normal(spec.p)
+    for k in range(0, 30):
+        res = solve(spec, x, y, 0.4, SolveOptions(max_iter=k), start=start)
+        r = y - x @ res.beta
+        assert res.objective_trace[-1] == 0.5 * float(r @ r) + 0.4 * pen_eval(spec, res.beta)
+        assert len(res.objective_trace) == k + 1

@@ -11,6 +11,7 @@ from polygauge import (
     threshold_sup,
     verify_thresholded,
 )
+from polygauge import solve
 from polygauge.threshold import PROXIMITY_RTOL
 from test_acceptance import STRONG_SIGNAL_BETA, STRONG_SIGNAL_EPS, STRONG_SIGNAL_X
 
@@ -143,3 +144,43 @@ def test_monotone_subdifferential_growth_along_tau():
             out = threshold_sup(b, tau).output
             assert subdiff_includes(spec, b, out)
             prev = out
+
+
+def _threshold_sup_per_component(b, tau):
+    """threshold_sup written one component at a time."""
+    m = float(np.max(np.abs(b), initial=0.0))
+    if m <= tau:
+        return np.zeros_like(b)
+    out = b.copy()
+    hi = m - tau
+    for j in range(b.size):
+        if b[j] >= m - 2.0 * tau and b[j] >= 0.0:
+            out[j] = hi
+        elif b[j] <= -m + 2.0 * tau and b[j] < 0.0:
+            out[j] = -hi
+    return out
+
+
+def test_threshold_sup_masks_equal_per_component_form():
+    # criterion 7's instance at the thresholds of the benchmark's
+    # thresholded-recovery operations
+    spec = GaugeSpec.sup(6)
+    moved_seen = 0
+    for r in (1, 10, 100):
+        y = STRONG_SIGNAL_X @ (r * STRONG_SIGNAL_BETA) + STRONG_SIGNAL_EPS
+        b = solve(spec, STRONG_SIGNAL_X, y, 1.0, SolveOptions(tol=1e-8)).beta
+        for tau in (0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0):
+            out = threshold_sup(b, tau).output
+            assert out.tobytes() == _threshold_sup_per_component(b, tau).tobytes()
+            m = np.max(np.abs(b))
+            moved = ((b >= m - 2.0 * tau) & (b >= 0.0)) | ((b <= -m + 2.0 * tau) & (b < 0.0))
+            if m > tau and moved.any():
+                moved_seen += 1
+                assert np.all(np.abs(out[moved]) == m - tau)
+    assert moved_seen > 0
+    # exact zeros and ties on the band edges, which solver output lacks
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        b = rng.integers(-4, 5, size=6) / 4.0
+        tau = float(rng.integers(0, 6)) / 8.0
+        assert threshold_sup(b, tau).output.tobytes() == _threshold_sup_per_component(b, tau).tobytes()
