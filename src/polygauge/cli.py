@@ -28,7 +28,7 @@ from .conditions import (
 from .gauge import GaugeSpec, GeneratorBlowup, active_set, named_pattern, round_sig
 from .numerics import read_matrix, read_vector, write_vector
 from .solvers import SolveOptions, solution_path, solve
-from .threshold import threshold_lasso, threshold_sup
+from .threshold import _THRESHOLDERS
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -197,10 +197,7 @@ def _cmd_check_unique(args) -> int:
 
 def _cmd_threshold(args) -> int:
     beta = read_vector(args.beta)
-    if args.penalty == "l1":
-        result = threshold_lasso(beta, args.tau)
-    else:
-        result = threshold_sup(beta, args.tau)
+    result = _THRESHOLDERS[args.penalty](beta, args.tau)
     payload = {
         "tau": args.tau,
         "input": result.input.tolist(),
@@ -345,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu.set_defaults(func=_cmd_check_unique)
 
     pth = sub.add_parser("threshold", parents=[common], help="threshold an estimate")
-    pth.add_argument("--penalty", required=True, choices=["l1", "sup"])
+    pth.add_argument("--penalty", required=True, choices=sorted(_THRESHOLDERS))
     pth.add_argument("--tau", type=float, required=True)
     pth.add_argument("--beta", type=Path, required=True)
     pth.set_defaults(func=_cmd_threshold)

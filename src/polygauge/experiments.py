@@ -127,20 +127,20 @@ class SureSelection:
     table: list = field(default_factory=list)  # (lam, criterion) per grid point
 
 
-def sure_select(x, y, lam_grid, opts: SolveOptions | None = None) -> SureSelection:
-    """Pick lambda on the grid minimizing the sup-norm SURE-style criterion
-    0.5 ||y - X beta_lam||^2 + #{j : |beta_lam_j| < ||beta_lam||_inf}.
+def _sure_pass(x, y, lam_grid, opts: SolveOptions | None):
+    """One warm-started pass over the grid, largest lambda first, keeping
+    converged points only.
 
-    Ties break toward larger lambda; grid points where the solver fails to
-    converge are skipped.
+    Returns the SURE selection, the solve at the selected lambda and the
+    estimates of all converged points in pass order.
     """
     x = as_matrix(x)
     y = as_vector(y)
     opts = opts or SolveOptions()
     spec = GaugeSpec.sup(x.shape[1])
     order = np.argsort(np.asarray(lam_grid))[::-1]
-    best = None
-    table = []
+    best, best_res = None, None
+    table, betas = [], []
     warm = None
     for i in order:
         lam = float(np.asarray(lam_grid)[i])
@@ -148,17 +148,28 @@ def sure_select(x, y, lam_grid, opts: SolveOptions | None = None) -> SureSelecti
         if not res.converged:
             continue
         warm = res.beta
+        betas.append(res.beta)
         resid = y - res.fitted
         pattern = active_set(spec, res.beta).named.as_array()
         nonmax = int(np.sum(pattern == 0)) if np.any(pattern != 0) else 0
         crit = 0.5 * float(resid @ resid) + nonmax
         table.append((lam, crit))
         if best is None or crit < best.criterion:
-            best = SureSelection(lam, crit)
+            best, best_res = SureSelection(lam, crit), res
     if best is None:
         raise RuntimeError("no grid point converged")
     best.table = sorted(table)
-    return best
+    return best, best_res, betas
+
+
+def sure_select(x, y, lam_grid, opts: SolveOptions | None = None) -> SureSelection:
+    """Pick lambda on the grid minimizing the sup-norm SURE-style criterion
+    0.5 ||y - X beta_lam||^2 + #{j : |beta_lam_j| < ||beta_lam||_inf}.
+
+    Ties break toward larger lambda; grid points where the solver fails to
+    converge are skipped.
+    """
+    return _sure_pass(x, y, lam_grid, opts)[0]
 
 
 def run_recovery_experiment(config: ExperimentConfig, out_dir=None) -> dict:
@@ -183,21 +194,11 @@ def run_recovery_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     lam_zero = zero_threshold(spec, x, y)
     grid = np.geomspace(config.lam_min_frac * lam_zero, lam_zero, config.lam_grid_size)
     opts = SolveOptions(tol=1e-8)
-    sel = sure_select(x, y, grid, opts)
-    res = solve(spec, x, y, sel.lam, opts)
+    sel, res, betas = _sure_pass(x, y, grid, opts)
     target = active_set(spec, beta)
     raw_fp = active_set(spec, res.beta, rel_tol=opts.pattern_rel_tol)
     raw_match = raw_fp == target
-    raw_match_any = False
-    warm = None
-    for lam in grid[::-1]:
-        res_g = solve(spec, x, y, float(lam), opts, start=warm)
-        if not res_g.converged:
-            continue
-        warm = res_g.beta
-        if active_set(spec, res_g.beta, rel_tol=opts.pattern_rel_tol) == target:
-            raw_match_any = True
-            break
+    raw_match_any = any(active_set(spec, b, rel_tol=opts.pattern_rel_tol) == target for b in betas)
     sup_hat = float(np.max(np.abs(res.beta), initial=0.0))
     taus = [float(f) * sup_hat for f in config.tau_fracs]
     matches = []

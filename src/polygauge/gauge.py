@@ -454,26 +454,14 @@ def _inactive_d_rows(spec: GaugeSpec, b: np.ndarray, rel_tol: float) -> np.ndarr
 
 
 def complexity(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> int:
-    """Pattern complexity = codimension of the subdifferential face.
+    """Pattern complexity = codimension of the subdifferential face, taken
+    as the dimension of pattern_subspace(spec, beta, rel_tol).
 
-    Closed forms: number of non-nulls (l1); number of non-null clusters
-    (slope); non-maximal count plus one (sup, zero at the origin);
-    p - rank of the inactive difference rows (genlasso).  Custom gauges
-    use the rank of the materialized face.
+    It is the number of non-nulls (l1); the number of non-null clusters
+    (slope); the non-maximal count plus one (sup, zero at the origin);
+    p - rank of the inactive difference rows (genlasso).
     """
-    b = as_vector(beta)
-    if spec.kind in ("l1", "slope", "sup"):
-        arr = active_set(spec, b, rel_tol).named.as_array()
-        if spec.kind == "l1":
-            return int(np.sum(np.abs(arr)))
-        if spec.kind == "slope":
-            return int(np.max(np.abs(arr), initial=0))
-        if np.all(arr == 0):
-            return 0
-        return int(np.sum(arr == 0)) + 1
-    if spec.kind == "genlasso":
-        return spec.p - rank(_inactive_d_rows(spec, b, rel_tol))
-    return subdifferential_face(spec, b, rel_tol).codimension
+    return pattern_subspace(spec, beta, rel_tol).dim
 
 
 def pattern_subspace(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> SubspaceBasis:
@@ -481,7 +469,7 @@ def pattern_subspace(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> SubspaceBa
     the orthogonal complement of the subdifferential-face directions.
 
     Closed forms for the named kinds avoid generator expansion; the basis
-    size always equals complexity(spec, beta).
+    size is the pattern complexity, see complexity(spec, beta).
     """
     b = as_vector(beta)
     p = spec.p

@@ -8,6 +8,7 @@ from polygauge import (
     GaugeSpec,
     NumericalFailure,
     SolveOptions,
+    active_set,
     experiments,
     linprog,
     min_linf_representation,
@@ -100,6 +101,35 @@ def test_recovery_experiment_deterministic(tmp_path):
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["solver_converged"]
     assert len(summary["taus"]) == len(summary["threshold_matches"])
+
+
+def test_recovery_experiment_solves_each_grid_point_once(monkeypatch):
+    # SURE selection, the selected estimate and raw_match_any_lambda all
+    # come from one warm-started pass over the grid
+    calls = []
+    real = experiments.solve
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((args[3], res))
+        return res
+
+    monkeypatch.setattr(experiments, "solve", counted)
+    # on this draw only the third-largest lambda shows the pattern
+    cfg = ExperimentConfig(seed=26, n=10, p=15, cluster_sizes=(6, 6, 3), lam_grid_size=6, noise_sigma=0.3)
+    summary = run_recovery_experiment(cfg)
+    lams = [lam for lam, _ in calls]
+    assert len(calls) == cfg.lam_grid_size
+    assert lams == sorted(lams, reverse=True)
+    assert summary["lambda_selected"] in lams
+    spec = GaugeSpec.sup(cfg.p)
+    target = active_set(spec, np.concatenate(
+        [np.full(s, v) for s, v in zip(cfg.cluster_sizes, cfg.cluster_values)]))
+    matches = [active_set(spec, res.beta, rel_tol=SolveOptions().pattern_rel_tol) == target
+               for _, res in calls if res.converged]
+    assert any(matches) and not matches[0] and not matches[-1]
+    assert summary["raw_match_any_lambda"]
+    assert not summary["raw_pattern_match"]
 
 
 def test_recovery_experiment_rejects_bad_clusters():

@@ -13,7 +13,8 @@ SCRIPT = """
 import sys
 import numpy as np
 from polygauge import (
-    GaugeSpec, check_accessibility, check_nrc_geometric, check_uniform_uniqueness, solve, zero_threshold,
+    ExperimentConfig, GaugeSpec, check_accessibility, check_nrc_geometric, check_uniform_uniqueness,
+    run_recovery_experiment, solve, verify_thresholded, zero_threshold,
 )
 zero_threshold(GaugeSpec.tv(4), np.eye(4), np.array([1.0, -0.5, 0.25, -0.75]))
 spec = GaugeSpec.custom([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
@@ -27,6 +28,10 @@ slope = GaugeSpec.slope(np.arange(12.0, 0.0, -1.0))
 check_accessibility(slope, rng.standard_normal((6, 12)), np.arange(12.0))
 assert check_uniform_uniqueness(GaugeSpec.sup(6), np.array(CRITERION7_X)).verdict
 check_uniform_uniqueness(GaugeSpec.tv(4), rng.standard_normal((2, 4)))
+b = np.array([2.0, 1.7, -1.9, 0.3])
+assert not verify_thresholded(GaugeSpec.sup(4), b, b, 0.2)["condition3_minimal"]
+run_recovery_experiment(ExperimentConfig(seed=7, n=10, p=15, cluster_sizes=(6, 6, 3), lam_grid_size=4,
+                                         tau_fracs=(0.1, 0.3)))
 assert "scipy" not in sys.modules, "polygauge imported scipy"
 """.replace("CRITERION7_X", repr(STRONG_SIGNAL_X.tolist()))
 

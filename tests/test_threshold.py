@@ -5,6 +5,7 @@ from polygauge import (
     GaugeSpec,
     SolveOptions,
     active_set,
+    complexity,
     recover_with_threshold,
     subdiff_includes,
     threshold_lasso,
@@ -70,7 +71,74 @@ def test_verifier_trivial_candidate():
     b = np.array([1.0, 0.4, -0.2])
     diag = verify_thresholded(spec, b, b, 0.0, samples=50)
     assert diag["condition1"] and diag["condition2_inclusion"] and diag["condition3_minimal"]
-    assert diag["condition3_flag"] == "sampled"
+    assert diag["condition3_flag"] == "exact"
+
+
+@pytest.mark.parametrize("spec,b,tau", [
+    (GaugeSpec.sup(4), [2.0, 1.7, -1.9, 0.3], 0.2),
+    (GaugeSpec.l1(3), [2.0, 0.1, -0.15], 0.2),
+])
+def test_verifier_condition3_rejects_raw_estimate_with_thresholder_counterexample(spec, b, tau):
+    # b itself passes conditions 1 and 2 but not 3: T(b, tau) lies in the
+    # ball with fewer pattern degrees of freedom (sup: 2 against 4, l1: 1
+    # against 3); no uniform or corner probe of the ball has a tie or a zero
+    diag = verify_thresholded(spec, b, b, tau)
+    assert diag["condition1"] and diag["condition2_inclusion"]
+    assert not diag["condition3_minimal"]
+    best = {"l1": threshold_lasso, "sup": threshold_sup}[spec.kind](b, tau).output
+    counter = diag["condition3_counterexample"]
+    assert np.array_equal(counter, best)
+    assert np.max(np.abs(counter - np.asarray(b))) <= tau
+    assert complexity(spec, counter) < complexity(spec, b)
+
+
+def _sampled_probes(b, tau, rng, samples):
+    """The sampled condition-3 rule: uniform points and corners of the ball
+    ||v - b||_inf <= tau, all 2^p corners for p <= 11, 2,048 random ones
+    above."""
+    p = b.size
+    probes = [b + tau * (2.0 * rng.random(p) - 1.0) for _ in range(samples)]
+    if p <= 11:
+        corners = np.array(np.meshgrid(*([[-tau, tau]] * p), indexing="ij")).reshape(p, -1).T
+    else:
+        corners = tau * (2.0 * (rng.random((2048, p)) > 0.5) - 1.0)
+    return probes + [b + c for c in corners]
+
+
+@pytest.mark.parametrize("thresholder,kind", [(threshold_lasso, "l1"), (threshold_sup, "sup")])
+def test_thresholder_attains_least_complexity_over_ball(thresholder, kind):
+    # the closed forms: l1 #{|b_j| > tau}; sup #{|b_j| < M - 2 tau} + 1, or
+    # 0 when M <= tau; the sampling rule is the reference
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        p = int(rng.integers(2, 7))
+        spec = GaugeSpec.l1(p) if kind == "l1" else GaugeSpec.sup(p)
+        if trial % 2:
+            b = rng.integers(-8, 9, size=p) / 4.0
+        else:
+            b = rng.standard_normal(p) * rng.uniform(0.2, 3.0)
+        tau = float(rng.uniform(0.0, 1.5))
+        best = thresholder(b, tau).output
+        least = complexity(spec, best)
+        m = np.max(np.abs(b))
+        if kind == "l1":
+            assert least == np.sum(np.abs(b) > tau)
+        else:
+            assert least == (0 if m <= tau else np.sum(np.abs(b) < m - 2.0 * tau) + 1)
+        assert all(complexity(spec, v) >= least for v in _sampled_probes(b, tau, rng, 300))
+        diag = verify_thresholded(spec, b, best, tau)
+        assert diag["condition1"] and diag["condition2_inclusion"] and diag["condition3_minimal"]
+
+
+@pytest.mark.parametrize("spec", [GaugeSpec.tv(3), GaugeSpec.slope([3.0, 2.0, 1.0])])
+def test_verifier_rejects_kinds_without_thresholder(spec):
+    with pytest.raises(ValueError):
+        verify_thresholded(spec, np.ones(3), np.ones(3), 0.1)
+
+
+def test_verifier_rejects_negative_tau():
+    with pytest.raises(ValueError):
+        verify_thresholded(GaugeSpec.sup(3), np.ones(3), np.ones(3), -0.1)
 
 
 def test_verifier_on_sup_collapse_output():
