@@ -25,12 +25,17 @@ from .gauge import (
     pen_eval,
     pattern_subspace,
 )
-from .numerics import as_matrix, as_vector, in_row_space, pseudoinverse, rank
+from .numerics import _row_space_preimage, as_matrix, as_vector, rank
 from .solvers import SolveOptions, solution_path
 
 
 class InfeasibleTarget(ValueError):
     """The equality system of a representation problem has no solution."""
+
+
+# Separation cutoff of the ray that certifies target outside col(X) in
+# _min_max_lp (its docstring states the test).
+RAY_RTOL = 1e-9
 
 
 @dataclass
@@ -98,19 +103,15 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
 
     Solved as the epigraph LP min pen(b) s.t. Xb = X beta, with the
     closed-form encoding per kind (no generator expansion for l1/sup/
-    genlasso/slope).  Slope uses the Birkhoff dual of the sorted-l1 norm,
-    4p variables and p^2 + 2p rows at any p.
+    genlasso/slope).  Sup and custom gauges pose it as the dual of their
+    min-max LP (_min_max_lp).  Slope uses the Birkhoff dual of the
+    sorted-l1 norm, 4p variables and p^2 + 2p rows at any p.
     """
     x = as_matrix(x)
     beta = as_vector(beta)
     pen_beta = pen_eval(spec, beta)
-    target = x @ beta
-    sol = _fiber_min_lp(spec, x, target)
-    if sol.status != linprog.OPTIMAL:
-        raise RuntimeError(f"accessibility LP returned status {sol.status}")
-    value = float(sol.value)
+    value, witness = _fiber_min_lp(spec, x, x @ beta)
     margin = value - pen_beta
-    witness = sol.x[: x.shape[1]].copy()
     return ConditionReport(
         verdict=margin >= -1e-7,
         margin=margin,
@@ -123,33 +124,36 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
     )
 
 
-def _fiber_min_lp(spec: GaugeSpec, x, target) -> linprog.LpSolution:
-    """LP for min pen(b) s.t. Xb = target; b is the first p solution entries."""
+def _fiber_min_lp(spec: GaugeSpec, x, target) -> tuple:
+    """(min pen(b) s.t. Xb = target, a minimizer b)."""
     n, p = x.shape
     if spec.kind == "sup":
         return _min_max_lp(x, target, np.vstack([np.eye(p), -np.eye(p)]))
-    if spec.kind == "slope":
-        return _slope_fiber_lp(spec, x, target)
     if spec.kind == "custom":
         if spec.u.shape[0] > 4096:
             raise GeneratorBlowup("custom accessibility LP capped at 4096 generators")
         return _min_max_lp(x, target, spec.u)
-    # vars [b, s]: min sum s, +-D b <= s (D = I for l1)
-    d = np.eye(p) if spec.kind == "l1" else spec.d
-    m = d.shape[0]
-    c = np.concatenate([np.zeros(p), np.ones(m)])
-    a_eq = np.hstack([x, np.zeros((n, m))])
-    a_le = np.vstack(
-        [
-            np.hstack([d, -np.eye(m)]),
-            np.hstack([-d, -np.eye(m)]),
-        ]
-    )
-    b_le = np.zeros(2 * m)
-    bounds = [(None, None)] * p + [(0.0, None)] * m
-    return linprog.lp_solve(
-        linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=b_le, bounds=bounds)
-    )
+    if spec.kind == "slope":
+        sol = _slope_fiber_lp(spec, x, target)
+    else:
+        # vars [b, s]: min sum s, +-D b <= s (D = I for l1)
+        d = np.eye(p) if spec.kind == "l1" else spec.d
+        m = d.shape[0]
+        c = np.concatenate([np.zeros(p), np.ones(m)])
+        a_eq = np.hstack([x, np.zeros((n, m))])
+        a_le = np.vstack(
+            [
+                np.hstack([d, -np.eye(m)]),
+                np.hstack([-d, -np.eye(m)]),
+            ]
+        )
+        bounds = [(None, None)] * p + [(0.0, None)] * m
+        sol = linprog.lp_solve(
+            linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=np.zeros(2 * m), bounds=bounds)
+        )
+    if sol.status != linprog.OPTIMAL:
+        raise RuntimeError(f"accessibility LP returned status {sol.status}")
+    return float(sol.value), sol.x[:p].copy()
 
 
 def _slope_fiber_lp(spec: GaugeSpec, x, target) -> linprog.LpSolution:
@@ -236,8 +240,8 @@ def check_nrc_lasso(x, beta) -> ConditionReport:
         )
     xi = x[:, support]
     s = np.sign(beta[support])
-    in_row = in_row_space(xi, s, tol=1e-8)
-    cert_vec = x.T @ (pseudoinverse(xi.T) @ s)
+    g, in_row = _row_space_preimage(xi, s, tol=1e-8)
+    cert_vec = x.T @ g
     sup_norm = float(np.max(np.abs(cert_vec), initial=0.0))
     margin = 1.0 - sup_norm if in_row else -np.inf
     return ConditionReport(
@@ -276,8 +280,8 @@ def check_nrc_sup(x, beta) -> ConditionReport:
     xt = np.column_stack([x1, x[:, nonmax]])
     e1 = np.zeros(xt.shape[1])
     e1[0] = 1.0
-    in_row = in_row_space(xt, e1, tol=1e-8)
-    cert_vec = x.T @ (pseudoinverse(xt.T) @ e1)
+    g, in_row = _row_space_preimage(xt, e1, tol=1e-8)
+    cert_vec = x.T @ g
     l1 = float(np.sum(np.abs(cert_vec)))
     margin = 1.0 - l1 if in_row else -np.inf
     return ConditionReport(
@@ -384,30 +388,57 @@ def check_nrc_path(
 def min_linf_representation(x, target) -> float:
     """min ||gamma||_inf subject to X gamma = target.
 
-    Raises InfeasibleTarget when target is outside col(X).
+    One LP, posed as its dual by _min_max_lp: for an n x p design it has
+    p - n + 1 live rows when X has full row rank.  Raises InfeasibleTarget
+    when target is outside col(X).
     """
     x = as_matrix(x)
     p = x.shape[1]
-    sol = _min_max_lp(x, as_vector(target), np.vstack([np.eye(p), -np.eye(p)]))
-    if sol.status == linprog.INFEASIBLE:
-        raise InfeasibleTarget("target vector is outside the column space of X")
-    if sol.status != linprog.OPTIMAL:
-        raise RuntimeError(f"representation LP returned status {sol.status}")
-    return float(sol.value)
+    return _min_max_lp(x, as_vector(target), np.vstack([np.eye(p), -np.eye(p)]))[0]
 
 
-def _min_max_lp(x: np.ndarray, target: np.ndarray, rows: np.ndarray) -> linprog.LpSolution:
-    """LP for min t s.t. X gamma = target, rows gamma <= t; vars [gamma, t].
-    rows holds +-I (the sup norm) or a zero row (a custom gauge), so t >= 0."""
+def _min_max_lp(x: np.ndarray, target: np.ndarray, rows: np.ndarray) -> tuple:
+    """(min t s.t. X gamma = target, rows gamma <= t, t >= 0, the minimizer
+    gamma), solved as the dual LP
+
+        max target'mu  s.t.  X'mu = rows'w,  1'w <= 1,  w >= 0   (mu free).
+
+    rows holds +-I (the sup norm) or the generators of a custom gauge.  The
+    n free mu are eliminated into the p equality rows, which leaves p - n + 1
+    live rows when X has full row rank (21 instead of 160 for a 40 x 60
+    fig-5 design in the primal form).  gamma is minus the multiplier vector
+    of the X'mu = rows'w rows and t = target'mu.
+
+    The dual is always feasible (mu = 0, w = 0) and unbounded exactly when
+    target is outside col(X), along a ray mu with X'mu = 0 and target'mu > 0.
+    InfeasibleTarget is raised only when the ray, scaled to ||mu||_inf = 1,
+    has ||X'mu||_inf <= RAY_RTOL * (1 + max|X|) and
+    target'mu > RAY_RTOL * (1 + ||target||_inf); otherwise NumericalFailure.
+    """
     n, p = x.shape
     k = rows.shape[0]
-    c = np.concatenate([np.zeros(p), [1.0]])
-    a_eq = np.hstack([x, np.zeros((n, 1))])
-    a_le = np.hstack([rows, -np.ones((k, 1))])
-    bounds = [(None, None)] * p + [(0.0, None)]
-    return linprog.lp_solve(
-        linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=np.zeros(k), bounds=bounds)
+    sol = linprog.lp_solve(
+        linprog.LpProblem(
+            np.concatenate([-target, np.zeros(k)]),
+            a_eq=np.hstack([x.T, -rows.T]),
+            b_eq=np.zeros(p),
+            a_le=np.concatenate([np.zeros(n), np.ones(k)])[None, :],
+            b_le=[1.0],
+            bounds=[(None, None)] * n + [(0.0, None)] * k,
+        )
     )
+    if sol.status == linprog.UNBOUNDED:
+        mu = sol.ray[:n] / np.max(np.abs(sol.ray[:n]), initial=np.finfo(float).tiny)
+        residual = np.max(np.abs(x.T @ mu), initial=0.0)
+        separation = float(target @ mu)
+        if residual <= RAY_RTOL * (1.0 + np.max(np.abs(x), initial=0.0)) and separation > RAY_RTOL * (
+            1.0 + np.max(np.abs(target), initial=0.0)
+        ):
+            raise InfeasibleTarget("target vector is outside the column space of X")
+        raise linprog.NumericalFailure("the unbounded ray of the representation LP does not separate target")
+    if sol.status != linprog.OPTIMAL:
+        raise RuntimeError(f"representation LP returned status {sol.status}")
+    return -float(sol.value), -sol.y_eq
 
 
 def check_uniform_uniqueness(spec: GaugeSpec, x) -> ConditionReport:

@@ -1,6 +1,6 @@
 """Small dense linear-programming solver.
 
-Two-phase primal simplex on the full tableau with Bland's anti-cycling
+Two-phase primal simplex on a dense tableau with Bland's anti-cycling
 rule.  Built for the many small feasibility and minimization questions
 this package asks (row-space/face intersections, gauge epigraphs,
 min-sup-norm representations); determinism and certificates matter more
@@ -8,12 +8,38 @@ than speed at these sizes.
 
 Geometry convention: variables are free unless bounds are given,
 ``a_le @ x <= b_le`` for inequalities, ``a_eq @ x = b_eq`` for equalities.
-Internally everything is rewritten to standard form before pivoting: a
-variable bounded by exactly (0, None) is one nonnegative column and its
-bound stays implicit; every other variable is split into x+ - x- and its
-finite bounds become slack rows.  lp_solve and feasibility share one
-phase 1.  Certificates (duals, Farkas vectors) are reported over the
-folded rows of _bounds_to_rows, implicit bound rows included.
+Internally everything is rewritten to the standard form min c'z, Az = b:
+a variable bounded by exactly (0, None) is one nonnegative column whose
+bound stays implicit; every other variable is one free column, never
+split, and its finite bounds become slack rows.
+
+Free columns are eliminated before phase 1.  Each is pivoted into the
+live row holding its largest entry, equality rows first (an equality row
+would otherwise need an artificial variable).  A free basic variable never
+leaves the basis, so its row leaves the live tableau: it takes part in no
+ratio test and no later pivot, and the free value is back-substituted at
+the end.  A free column with no entry above PIVOT_EPS left in the live
+rows has its live column set to zero; it stays at 0, and in phase 2 it
+may enter in either direction, which can only be along an unbounded ray.
+
+Pricing reads reduced costs off explicit objective rows (one per phase)
+that every pivot updates: Dantzig's rule (most negative reduced cost)
+until BLAND_TRIGGER consecutive degenerate pivots, then Bland's rule for
+the rest of the phase.  lp_solve and feasibility share one phase 1.
+Certificates (duals, Farkas vectors) come from one ``np.linalg.solve`` on
+the square basis matrix over the original rows, and are reported over
+the folded rows of _bounds_to_rows, implicit bound rows included.
+
+Tolerances:
+  PIVOT_EPS       pivot and ratio-test entries at or below it count as zero;
+  ENTER_EPS       a column enters when its reduced cost is below -ENTER_EPS
+                  (a free column: when its absolute value is above it);
+  RATIO_TIE_TOL   rows within it of the least ratio tie, and the one whose
+                  basic variable has the lowest index leaves;
+  DEGENERATE_TOL  a pivot whose step (least ratio) is at most it is
+                  degenerate;
+  BLAND_TRIGGER   consecutive degenerate pivots before Bland's rule;
+  PHASE1_RTOL     feasibility cutoff on the phase-1 value (below).
 """
 
 from __future__ import annotations
@@ -30,6 +56,12 @@ UNBOUNDED = "unbounded"
 PIVOT_EPS = 1e-10
 # Entering-column threshold on reduced costs.
 ENTER_EPS = 1e-9
+# Ratio-test tie width.
+RATIO_TIE_TOL = 1e-12
+# Largest step of a degenerate pivot.
+DEGENERATE_TOL = 1e-12
+# Consecutive degenerate pivots after which pricing switches to Bland's rule.
+BLAND_TRIGGER = 40
 # Constraints count as feasible when the phase-1 value (the least total
 # artificial infeasibility) is at most PHASE1_RTOL * (1 + ||b||_inf) over
 # the standard-form right-hand side b.
@@ -88,6 +120,8 @@ class LpSolution:
         y_eq'a_eq + y_le'a_le ~ 0 (bounds folded into a_le rows)
         and y_eq'b_eq + y_le'b_le > 0.
     For UNBOUNDED: ray is an original-space direction of unbounded descent.
+    iterations counts every pivot: free-column eliminations, phase 1,
+    driving artificials out of the basis, and phase 2.
     """
 
     status: str
@@ -139,143 +173,20 @@ def _bounds_to_rows(problem: LpProblem):
     return a_eq, b_eq, a_le, b_le
 
 
-class _Simplex:
-    """Two-phase tableau simplex on min c'z, A z = b, z >= 0.
-
-    slack_of_row maps each row to its slack column (or -1): slack columns
-    whose row was not sign-flipped start basic (crash basis), so
-    artificial variables are only created where actually needed.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int, slack_of_row):
-        m, n = a.shape
-        self.sign = np.where(b < 0, -1.0, 1.0)
-        self.a_f = a * self.sign[:, None]  # flipped constraint matrix, pre-pivot
-        self.m, self.n = m, n
-        self.c = c
-        self.max_iter = max_iter
-        self.iterations = 0
-        self.basis = []
-        art_rows = []
-        for r in range(m):
-            if slack_of_row[r] >= 0 and self.sign[r] > 0:
-                self.basis.append(slack_of_row[r])
-            else:
-                self.basis.append(-1)  # placeholder, artificial below
-                art_rows.append(r)
-        self.art = np.zeros((m, len(art_rows)))
-        for j, r in enumerate(art_rows):
-            self.art[r, j] = 1.0
-            self.basis[r] = n + j
-        self.n_art = len(art_rows)
-        self.T = np.hstack([self.a_f, self.art, (b * self.sign)[:, None]])
-        self.art_start = n
-        self.row_alive = np.ones(m, dtype=bool)
-
-    def _pivot(self, r: int, j: int):
-        T = self.T
-        T[r] = T[r] / T[r, j]
-        col = T[:, j].copy()
-        col[r] = 0.0
-        T -= col[:, None] * T[r]
-        self.basis[r] = j
-
-    def _run(self, cost: np.ndarray, allowed: np.ndarray):
-        """Pivot to optimality; returns None at an optimum, else the
-        unbounded column.
-
-        Pricing is Dantzig (most negative reduced cost) until a run of
-        degenerate pivots signals possible cycling, then switches to
-        Bland's anti-cycling rule for the rest of the phase.  Both rules
-        are deterministic.
-        """
-        T = self.T
-        bland = False
-        degenerate_run = 0
-        while True:
-            if self.iterations > self.max_iter:
-                raise NumericalFailure(f"simplex exceeded iteration cap {self.max_iter}")
-            self.iterations += 1
-            cb = cost[self.basis]
-            reduced = cost - cb @ T[:, :-1]
-            reduced[~allowed] = 0.0
-            if bland:
-                candidates = np.flatnonzero(reduced < -ENTER_EPS)
-                if candidates.size == 0:
-                    return None
-                j = int(candidates[0])  # Bland: lowest eligible index enters
-            else:
-                j = int(np.argmin(reduced))
-                if reduced[j] >= -ENTER_EPS:
-                    return None
-            colj = T[:, j]
-            rows = np.flatnonzero(self.row_alive & (colj > PIVOT_EPS))
-            if rows.size == 0:
-                return j
-            ratios = np.maximum(T[rows, -1], 0.0) / colj[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + 1e-12]
-            # among ties the row whose basic variable has lowest index leaves
-            r = min(ties, key=lambda i: self.basis[i])
-            self._pivot(int(r), j)
-            if best <= 1e-12:
-                degenerate_run += 1
-                if degenerate_run >= 40:
-                    bland = True
-            else:
-                degenerate_run = 0
-
-    def solve_phase1(self):
-        cost = np.zeros(self.n + self.n_art)
-        cost[self.n :] = 1.0
-        if self.n_art:
-            allowed = np.ones(self.n + self.n_art, dtype=bool)
-            self._run(cost, allowed)
-        value = float(cost[self.basis] @ np.maximum(self.T[:, -1], 0.0))
-        return value, cost
-
-    def drive_out_artificials(self):
-        """Pivot basic artificials onto structural columns; deactivate redundant rows."""
-        for r in range(self.m):
-            if not self.row_alive[r]:
-                continue
-            if self.basis[r] >= self.art_start:
-                row = self.T[r, : self.n]
-                j = np.flatnonzero(np.abs(row) > PIVOT_EPS)
-                if j.size:
-                    self._pivot(r, int(j[0]))
-                else:
-                    self.row_alive[r] = False
-
-    def solve_phase2(self):
-        cost = np.concatenate([self.c, np.zeros(self.n_art)])
-        allowed = np.ones(self.n + self.n_art, dtype=bool)
-        allowed[self.art_start :] = False
-        return self._run(cost, allowed), cost
-
-    def primal(self) -> np.ndarray:
-        z = np.zeros(self.n + self.n_art)
-        for r in range(self.m):
-            if self.row_alive[r]:
-                z[self.basis[r]] = max(self.T[r, -1], 0.0)
-        return z[: self.n]
-
-    def dual(self, cost: np.ndarray) -> np.ndarray:
-        """Row multipliers for the ORIGINAL (unflipped) rows, recomputed
-        from pre-pivot data for accuracy: solves M_f[:,B]' y_f = c_B and
-        unflips."""
-        full = np.hstack([self.a_f, self.art])
-        cols = full[:, self.basis]
-        cb = cost[self.basis]
-        y_f, *_ = np.linalg.lstsq(cols.T, cb, rcond=None)
-        return self.sign * y_f
+def _eliminate(t: np.ndarray, r: int, j: int):
+    """Pivot the tableau t on entry (r, j): row r scaled to t[r, j] = 1,
+    column j cleared from every other row."""
+    t[r] /= t[r, j]
+    col = t[:, j].copy()
+    col[r] = 0.0
+    t -= col[:, None] * t[r]
 
 
 class _StandardForm:
-    """min c'z, Az = b, z >= 0 for an LpProblem.  A variable bounded by
-    exactly (0, None) is one column whose bound row stays implicit; every
-    other variable j is split into z_j - z_{n+i} (j = free[i]) and its
-    bounds are folded into slack rows, as _bounds_to_rows writes them."""
+    """min c'z, Az = b for an LpProblem, z >= 0 except on the free columns.
+    A variable bounded by exactly (0, None) is one nonnegative column whose
+    bound row stays implicit; every other variable is one free column and
+    its finite bounds are slack rows, as _bounds_to_rows writes them."""
 
     def __init__(self, problem: LpProblem):
         self.folded_rows = a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem)
@@ -288,21 +199,14 @@ class _StandardForm:
             explicit += [not nonneg[j]] * (lo is not None) + [True] * (hi is not None)
         self.nonneg, self.explicit = np.array(nonneg, dtype=bool), np.array(explicit, dtype=bool)
         self.free = np.flatnonzero(~self.nonneg)
-        me, mi, nz = a_eq.shape[0], int(self.explicit.sum()), n + self.free.size
-        a = self.a = np.zeros((me + mi, nz + mi))
+        me, mi = a_eq.shape[0], int(self.explicit.sum())
+        a = self.a = np.zeros((me + mi, n + mi))
         a[:me, :n], a[me:, :n] = a_eq, a_le[self.explicit]
-        a[:, n:nz] = -a[:, self.free]
-        a[me:, nz:] = np.eye(mi)
+        a[me:, n:] = np.eye(mi)
         self.b = np.concatenate([b_eq, b_le[self.explicit]])
-        self.c = np.concatenate([problem.c, -problem.c[self.free], np.zeros(mi)])
+        self.c = np.concatenate([problem.c, np.zeros(mi)])
         self.me = me
-        self.slack_of_row = [-1] * me + [nz + i for i in range(mi)]
-
-    def x(self, z: np.ndarray) -> np.ndarray:
-        """Original-space point (or direction) of a standard-form z."""
-        x = z[: self.n].copy()
-        x[self.free] -= z[self.n : self.n + self.free.size]
-        return x
+        self.slack_of_row = np.concatenate([np.full(me, -1), n + np.arange(mi)])
 
     def folded(self, y: np.ndarray, c_x: np.ndarray) -> tuple:
         """(y_eq, y_le) over the folded rows from row multipliers y: an
@@ -314,6 +218,189 @@ class _StandardForm:
         return y[: self.me].copy(), y_le
 
 
+class _Simplex:
+    """Two-phase tableau simplex on a _StandardForm.
+
+    The constructor eliminates the free columns (module docstring).  Rows
+    of the frozen block F have a free basic variable, in elimination
+    order; T holds the live rows, then the phase-2 and (until phase 2) the
+    phase-1 objective row of reduced costs, and its last column is the
+    right-hand side.  A live row keeps its slack as the crash basis when
+    its right-hand side is nonnegative; every other live row gets an
+    artificial column (n + j for the j-th artificial).
+    """
+
+    def __init__(self, form: _StandardForm, max_iter: int):
+        m, n = form.a.shape
+        self.form, self.m, self.n = form, m, n
+        self.max_iter = max_iter
+        self.iterations = 0
+        self.bland = False  # whether Bland's rule started in any phase
+        t = np.zeros((m + 1, n + 1))
+        t[:m, :n], t[:m, -1], t[m, :n] = form.a, form.b, form.c
+        order = np.arange(m)  # original row of each row of t
+        # rows k .. k + ne - 1 are the live equality rows, then the live
+        # inequality rows; rows above k are frozen
+        k, ne = 0, form.me
+        frozen_cols, dead = [], []
+
+        def swap(i, j):
+            t[[i, j]], order[[i, j]] = t[[j, i]], order[[j, i]]
+
+        for f in form.free:
+            mag = np.abs(t[k:m, f])
+            r = int(np.argmax(mag[:ne])) if ne else 0
+            if not ne or mag[r] <= PIVOT_EPS:
+                r = ne + int(np.argmax(mag[ne:])) if m - k > ne else 0
+                if m - k == ne or mag[r] <= PIVOT_EPS:
+                    dead.append(f)
+                    continue
+                swap(k + ne, k + r)  # the equality block stays contiguous
+                r = ne
+            else:
+                ne -= 1
+            swap(k, k + r)
+            self._count_pivot()
+            _eliminate(t[k:], 0, f)  # frozen rows above k are not updated
+            frozen_cols.append(f)
+            k += 1
+        self.frozen, self.frozen_cols = t[:k].copy(), np.array(frozen_cols, dtype=int)
+        self.dead = np.array(dead, dtype=int)
+        live = t[k:m]
+        live[:, self.dead] = 0.0
+        self.rows = order[k:]
+        self.sign = np.where(live[:, -1] < 0, -1.0, 1.0)
+        live *= self.sign[:, None]
+        slack = form.slack_of_row[self.rows]
+        self.art_rows = np.flatnonzero((slack < 0) | (self.sign < 0))
+        self.n_art = na = self.art_rows.size
+        ml = m - k
+        T = self.T = np.zeros((ml + 2, n + na + 1))
+        T[:ml, :n], T[:ml, -1] = live[:, :n], live[:, -1]
+        T[self.art_rows, n + np.arange(na)] = 1.0
+        T[ml, :n], T[ml, -1] = t[m, :n], t[m, -1]
+        T[ml + 1, :n] = -live[self.art_rows, :n].sum(axis=0)
+        T[ml + 1, -1] = -live[self.art_rows, -1].sum()
+        self.basis = slack.copy()
+        self.basis[self.art_rows] = n + np.arange(na)
+        self.alive = np.ones(ml, dtype=bool)
+
+    def _count_pivot(self):
+        if self.iterations >= self.max_iter:
+            raise NumericalFailure(f"simplex exceeded iteration cap {self.max_iter}")
+        self.iterations += 1
+
+    def _pivot(self, r: int, j: int):
+        self._count_pivot()
+        _eliminate(self.T, r, j)
+        self.basis[r] = j
+
+    def _run(self, allowed: np.ndarray):
+        """Price on the last row of T and pivot to optimality; returns None
+        at an optimum, else (column, direction) of an unbounded ray.
+
+        Pricing is Dantzig (most negative reduced cost) until a run of
+        degenerate pivots signals possible cycling, then switches to
+        Bland's anti-cycling rule for the rest of the phase.  Both rules
+        are deterministic.  A free column enters downward when its reduced
+        cost is positive; its live column is zero, so it enters only along
+        a ray.
+        """
+        T = self.T
+        ml = self.basis.size
+        bland = False
+        degenerate_run = 0
+        while True:
+            reduced = T[-1, :-1] * allowed
+            if self.dead.size:
+                reduced[self.dead] = -np.abs(reduced[self.dead])
+            if bland:
+                candidates = np.flatnonzero(reduced < -ENTER_EPS)
+                if candidates.size == 0:
+                    return None
+                j = int(candidates[0])  # Bland: lowest eligible index enters
+            else:
+                j = int(np.argmin(reduced))
+                if reduced[j] >= -ENTER_EPS:
+                    return None
+            direction = -1.0 if T[-1, j] > 0 else 1.0
+            colj = direction * T[:ml, j]
+            rows = np.flatnonzero(self.alive & (colj > PIVOT_EPS))
+            if rows.size == 0:
+                return j, direction
+            ratios = np.maximum(T[rows, -1], 0.0) / colj[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + RATIO_TIE_TOL]
+            # among ties the row whose basic variable has lowest index leaves
+            r = int(ties[np.argmin(self.basis[ties])])
+            self._pivot(r, j)
+            if best <= DEGENERATE_TOL:
+                degenerate_run += 1
+                if degenerate_run >= BLAND_TRIGGER:
+                    bland = self.bland = True
+            else:
+                degenerate_run = 0
+
+    def solve_phase1(self) -> float:
+        """Phase 1; returns its value, the total artificial infeasibility."""
+        if self.n_art:
+            self._run(np.ones(self.T.shape[1] - 1))
+        ml = self.basis.size
+        return float(np.maximum(self.T[:ml, -1], 0.0)[self.basis >= self.n].sum())
+
+    def solve_phase2(self):
+        """Drop the phase-1 row, pivot basic artificials onto structural
+        columns (a row where none can enter is redundant and leaves the
+        ratio tests), then price the phase-2 row.  Returns None at an
+        optimum, else an unbounded ray over the columns."""
+        self.T = self.T[:-1]
+        for r in np.flatnonzero(self.basis >= self.n):
+            j = np.flatnonzero(np.abs(self.T[r, : self.n]) > PIVOT_EPS)
+            if j.size:
+                self._pivot(int(r), int(j[0]))
+            else:
+                self.alive[r] = False
+        allowed = np.arange(self.n + self.n_art) < self.n
+        hit = self._run(allowed)
+        if hit is None:
+            return None
+        j, direction = hit
+        d = np.zeros(self.n + self.n_art)
+        d[j] = direction
+        d[self.basis[self.alive]] = -direction * self.T[: self.basis.size][self.alive, j]
+        return self._back_substitute(d, 0.0)
+
+    def _back_substitute(self, z: np.ndarray, rhs: float) -> np.ndarray:
+        """Fill in the free basic values of the frozen rows, last frozen
+        first (a frozen row holds no column frozen before it); rhs = 0
+        for a direction."""
+        for i in range(self.frozen_cols.size - 1, -1, -1):
+            f = self.frozen_cols[i]
+            z[f] = 0.0
+            z[f] = rhs * self.frozen[i, -1] - self.frozen[i, : self.n] @ z[: self.n]
+        return z
+
+    def primal(self) -> np.ndarray:
+        z = np.zeros(self.n + self.n_art)
+        live = self.T[: self.basis.size]
+        z[self.basis[self.alive]] = np.maximum(live[self.alive, -1], 0.0)
+        return self._back_substitute(z, 1.0)[: self.n]
+
+    def dual(self, cost: np.ndarray) -> np.ndarray:
+        """Row multipliers y for the original rows: B'y = cost_B over the
+        square basis B of the original rows (a free column per frozen row,
+        the live basis otherwise; the artificial of live row i is the
+        column sign_i e_i of its original row)."""
+        basis = np.concatenate([self.frozen_cols, self.basis])
+        cols = np.zeros((self.m, self.m))
+        struct = basis < self.n
+        cols[:, struct] = self.form.a[:, basis[struct]]
+        art = np.flatnonzero(~struct)
+        live_row = self.art_rows[basis[art] - self.n]
+        cols[self.rows[live_row], art] = self.sign[live_row]
+        return np.linalg.solve(cols.T, cost[basis])
+
+
 def _phase1(problem: LpProblem, max_iter: int | None):
     """Standard form, iteration cap and phase 1, shared by lp_solve and
     feasibility.  Returns (form, simplex, phase-1 value, farkas), farkas
@@ -321,11 +408,12 @@ def _phase1(problem: LpProblem, max_iter: int | None):
     form = _StandardForm(problem)
     if max_iter is None:
         max_iter = 50 * (form.a.shape[1] + form.a.shape[0])
-    sx = _Simplex(form.a, form.b, form.c, max_iter, form.slack_of_row)
-    phase1, cost1 = sx.solve_phase1()
+    sx = _Simplex(form, max_iter)
+    phase1 = sx.solve_phase1()
     scale = 1.0 + float(np.abs(form.b).max(initial=0.0))
     if phase1 <= PHASE1_RTOL * scale:
         return form, sx, phase1, None
+    cost1 = (np.arange(sx.n + sx.n_art) >= sx.n).astype(float)
     return form, sx, phase1, form.folded(sx.dual(cost1), np.zeros(form.n))
 
 
@@ -339,17 +427,11 @@ def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
             iterations=sx.iterations,
             residuals={"phase1": phase1},
         )
-    sx.drive_out_artificials()
-    unbounded_col, cost2 = sx.solve_phase2()
-    if unbounded_col is not None:
-        d = np.zeros(sx.n + sx.n_art)
-        d[unbounded_col] = 1.0
-        for r in range(sx.m):
-            if sx.row_alive[r]:
-                d[sx.basis[r]] = -sx.T[r, unbounded_col]
-        return LpSolution(status=UNBOUNDED, ray=form.x(d), iterations=sx.iterations)
-    x = form.x(sx.primal())
-    y = sx.dual(cost2)
+    ray = sx.solve_phase2()
+    if ray is not None:
+        return LpSolution(status=UNBOUNDED, ray=ray[: form.n], iterations=sx.iterations)
+    x = sx.primal()[: form.n]
+    y = sx.dual(np.concatenate([form.c, np.zeros(sx.n_art)]))
     y_eq, y_le = form.folded(y, problem.c)
     value = float(problem.c @ x)
     a_eq, b_eq, a_le, b_le = form.folded_rows
@@ -377,4 +459,4 @@ def feasibility(problem: LpProblem, max_iter: int | None = None) -> FeasibilityR
     form, sx, phase1, farkas = _phase1(problem, max_iter)
     if farkas is not None:
         return FeasibilityResult(False, None, farkas, phase1, sx.iterations)
-    return FeasibilityResult(True, form.x(sx.primal()), None, phase1, sx.iterations)
+    return FeasibilityResult(True, sx.primal()[: form.n], None, phase1, sx.iterations)

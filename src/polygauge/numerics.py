@@ -101,13 +101,19 @@ def row_space_basis(a) -> SubspaceBasis:
 
 def in_row_space(a, v, tol: float = 1e-8) -> bool:
     """True iff v lies in the row space of a: ||A'(A')^+ v - v||_inf <= tol."""
+    return _row_space_preimage(a, v, tol)[1]
+
+
+def _row_space_preimage(a, v, tol: float = 1e-8) -> tuple:
+    """(g, member): g = (A')^+ v, the least-norm solution of A'g = v in the
+    least-squares sense, and the in_row_space test on it."""
     a = as_matrix(a)
     v = as_vector(v)
     if v.shape[0] != a.shape[1]:
         raise ValueError(f"vector length {v.shape[0]} != number of columns {a.shape[1]}")
     at = a.T
-    resid = at @ (pseudoinverse(at) @ v) - v
-    return float(np.max(np.abs(resid), initial=0.0)) <= tol
+    g = pseudoinverse(at) @ v
+    return g, float(np.max(np.abs(at @ g - v), initial=0.0)) <= tol
 
 
 def read_matrix(path) -> np.ndarray:

@@ -42,6 +42,45 @@ def vertex_oracle(problem: LpProblem, tol: float = 1e-9):
     return "optimal", best
 
 
+def check_lp_certificate(problem: LpProblem, sol, tol: float = 1e-7):
+    """Recompute the certificate of an lp_solve outcome from the problem
+    data over the folded rows of _bounds_to_rows; raise AssertionError
+    naming the first condition that fails.
+
+    optimal:    primal feasibility, y_le <= 0, c = A_eq'y_eq + A_le'y_le and
+                a zero gap c'x - (b_eq'y_eq + b_le'y_le);
+    infeasible: the Farkas conditions y_le <= 0, A_eq'y_eq + A_le'y_le = 0
+                and b_eq'y_eq + b_le'y_le > 0;
+    unbounded:  the ray keeps every row feasible and descends, c'ray < 0.
+    """
+    a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem)
+    c = problem.c
+    if sol.status == "unbounded":
+        d = sol.ray
+        size = 1.0 + np.max(np.abs(d))
+        assert np.max(np.abs(a_eq @ d), initial=0.0) <= tol * size, "ray leaves the equality rows"
+        assert np.max(a_le @ d, initial=0.0) <= tol * size, "ray leaves an inequality row"
+        assert c @ d < -tol * size, "ray does not descend"
+        return
+    y_eq, y_le = sol.farkas if sol.status == "infeasible" else (sol.y_eq, sol.y_le)
+    assert y_eq.shape == b_eq.shape and y_le.shape == b_le.shape, "multipliers do not match the folded rows"
+    ysize = 1.0 + max(np.max(np.abs(y_eq), initial=0.0), np.max(np.abs(y_le), initial=0.0))
+    combo = a_eq.T @ y_eq + a_le.T @ y_le
+    rhs = float(b_eq @ y_eq + b_le @ y_le)
+    assert np.all(y_le <= tol * ysize), "an inequality multiplier is positive"
+    if sol.status == "infeasible":
+        assert np.max(np.abs(combo), initial=0.0) <= tol * ysize, "Farkas combination is not zero"
+        assert rhs > tol * ysize, "Farkas right-hand side is not positive"
+        return
+    assert sol.status == "optimal", sol.status
+    x = sol.x
+    xsize = 1.0 + np.max(np.abs(x), initial=0.0)
+    assert np.max(np.abs(a_eq @ x - b_eq), initial=0.0) <= tol * xsize, "x violates an equality row"
+    assert np.max(a_le @ x - b_le, initial=0.0) <= tol * xsize, "x violates an inequality row"
+    assert np.max(np.abs(c - combo), initial=0.0) <= tol * ysize, "c is not A'y"
+    assert abs(float(c @ x) - rhs) <= tol * xsize * ysize, "duality gap"
+
+
 def random_lp_problem(rng):
     """Feasible bounded LP with up to 6 variables and 8 constraints."""
     n = int(rng.integers(2, 6))

@@ -18,7 +18,8 @@ from polygauge import (
     solve,
     zero_threshold,
 )
-from polygauge import linprog
+from polygauge import conditions, linprog
+from polygauge.experiments import replication_rng
 from polygauge.gauge import GeneratorBlowup
 from test_acceptance import STRONG_SIGNAL_X
 
@@ -275,6 +276,91 @@ def test_min_linf_infeasible_target():
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InfeasibleTarget):
         min_linf_representation(x, [0.0, 1.0])
+
+
+def _fig5_draws(reps):
+    """(k, X, X 1_I) of fig-5 replications at n = 40, p = 60: the first
+    p - k columns of X form the maximal set I, drawn as
+    run_accessibility_sweep draws them."""
+    n, p = 40, 60
+    for k in (5, 20, 35):
+        for rep in range(reps):
+            rng = replication_rng(3, (k << 32) | rep)
+            x = rng.standard_normal((n, p)) / np.sqrt(n)
+            yield k, x, x[:, : p - k] @ np.ones(p - k)
+
+
+def _sup_rows(p):
+    return np.vstack([np.eye(p), -np.eye(p)])
+
+
+def test_min_linf_dual_form_matches_highs():
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog as highs
+
+    n, p = 40, 60
+    ones = np.ones((p, 1))
+    a_ub = np.vstack([np.hstack([np.eye(p), -ones]), np.hstack([-np.eye(p), -ones])])
+    for _, x, target in _fig5_draws(4):
+        value, gamma = conditions._min_max_lp(x, target, _sup_rows(p))
+        assert value == min_linf_representation(x, target)
+        ref = highs(np.append(np.zeros(p), 1.0), A_ub=a_ub, b_ub=np.zeros(2 * p),
+                    A_eq=np.hstack([x, np.zeros((n, 1))]), b_eq=target,
+                    bounds=[(None, None)] * (p + 1), method="highs")
+        assert ref.status == 0, ref.message
+        assert abs(value - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+        assert np.max(np.abs(gamma - ref.x[:p])) <= 1e-8
+
+
+def test_dual_form_accessibility_minimizers():
+    p = 60
+    rng = np.random.default_rng(21)
+    # a custom gauge whose ball B* holds the sup-norm dual ball and a few
+    # random generators, with the zero generator first
+    u = np.vstack([np.zeros((1, p)), _sup_rows(p), 0.05 * rng.standard_normal((10, p))])
+    for k, x, _ in _fig5_draws(2):
+        beta = np.concatenate([np.ones(p - k), np.full(k, 0.5)])
+        for spec in (GaugeSpec.sup(p), GaugeSpec.custom(u)):
+            rep = check_accessibility(spec, x, beta)
+            gamma, value = rep.certificate["minimizer"], rep.certificate["lp_value"]
+            assert np.max(np.abs(x @ gamma - x @ beta)) <= 1e-10
+            assert abs(pen_eval(spec, gamma) - value) <= 1e-10 * (1.0 + value)
+            assert value <= pen_eval(spec, beta) + 1e-10
+
+
+def test_dual_form_target_outside_column_space():
+    rng = np.random.default_rng(22)
+    x0 = rng.standard_normal((39, 60)) / np.sqrt(40)
+    # the 40th row repeats a combination of the others, so col(X) is a hyperplane
+    x = np.vstack([x0, rng.standard_normal(39) @ x0])
+    target = x @ rng.standard_normal(60)
+    assert min_linf_representation(x, target) > 0.0
+    target[-1] += 1.0
+    with pytest.raises(InfeasibleTarget):
+        min_linf_representation(x, target)
+    with pytest.raises(InfeasibleTarget):
+        conditions._min_max_lp(x, target, np.vstack([np.zeros((1, 60)), _sup_rows(60)]))
+    # D' of a difference matrix misses the constants: 0 is never a minimizer
+    for spec in (GaugeSpec.tv(6), GaugeSpec.tf(6)):
+        assert zero_threshold(spec, np.eye(6), np.ones(6)) == float("inf")
+
+
+def test_fig5_representation_pivot_budget(monkeypatch):
+    """The dual form keeps p - n + 1 = 21 live rows: a fig-5 LP takes about
+    120 pivots (the split primal form took about 170 on 160 rows)."""
+    pivots = []
+    solve = linprog.lp_solve
+
+    def counting(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(linprog, "lp_solve", counting)
+    for _, x, target in _fig5_draws(6):
+        min_linf_representation(x, target)
+    assert len(pivots) == 18
+    assert np.median(pivots) <= 150
 
 
 # ---------------------------------------------------------------------------

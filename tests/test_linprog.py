@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polygauge import linprog
 from polygauge.linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -11,7 +12,7 @@ from polygauge.linprog import (
     lp_solve,
 )
 
-from oracles import random_lp_problem, vertex_oracle
+from oracles import check_lp_certificate, random_lp_problem, vertex_oracle
 
 
 def test_min_x_nonnegative():
@@ -86,6 +87,7 @@ def test_random_lps_match_vertex_oracle():
         status, value = vertex_oracle(prob)
         assert sol.status == status == OPTIMAL
         assert abs(sol.value - value) <= 1e-7
+        check_lp_certificate(prob, sol)
 
 
 def _half_lines(prob):
@@ -116,6 +118,7 @@ def test_optimal_certificates_random():
             assert sol.residuals["primal_eq"] <= 1e-8
             assert sol.residuals["primal_le"] <= 1e-8
             assert sol.residuals["duality_gap"] <= 1e-7 * (1.0 + abs(sol.value))
+            check_lp_certificate(prob, sol)
 
 
 def test_infeasible_farkas_random():
@@ -147,6 +150,7 @@ def test_infeasible_farkas_random():
             assert np.max(np.abs(combo)) <= 1e-7 * (1.0 + np.max(np.abs(y_le)))
             assert np.all(y_le <= 1e-9)
             assert rhs > 1e-9
+            check_lp_certificate(bad, sol)
 
 
 def test_iteration_cap_raises():
@@ -154,3 +158,151 @@ def test_iteration_cap_raises():
     prob = random_lp_problem(rng)
     with pytest.raises(Exception):
         lp_solve(prob, max_iter=0)
+
+
+# ---------------------------------------------------------------------------
+# free columns: eliminated into rows, never split
+
+
+def _free_box(prob, moved):
+    """The same LP with the variables in moved made free and their box
+    [-3, 3] written as two a_le rows."""
+    n = prob.n_vars
+    eye = np.eye(n)[moved]
+    rows = np.vstack([eye, -eye])
+    a_le = rows if prob.a_le is None else np.vstack([prob.a_le, rows])
+    b_le = np.full(rows.shape[0], 3.0)
+    if prob.a_le is not None:
+        b_le = np.concatenate([prob.b_le, b_le])
+    bounds = [(None, None) if m else b for m, b in zip(moved, prob.bounds)]
+    return LpProblem(prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq, a_le=a_le, b_le=b_le, bounds=bounds)
+
+
+def _check_against_oracle(prob):
+    sol = lp_solve(prob)
+    status, value = vertex_oracle(prob)
+    assert sol.status == status == OPTIMAL
+    assert abs(sol.value - value) <= 1e-7
+    check_lp_certificate(prob, sol)
+    return sol
+
+
+def test_random_lps_with_some_free_variables():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        prob = random_lp_problem(rng)
+        moved = rng.random(prob.n_vars) < 0.5
+        _check_against_oracle(_free_box(prob, moved))
+
+
+def test_more_free_columns_than_equality_rows():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n = int(rng.integers(3, 6))
+        me = int(rng.integers(1, n))
+        x0 = rng.uniform(-1, 1, n)
+        a_eq = rng.standard_normal((me, n))
+        a_le = rng.standard_normal((2, n))
+        prob = LpProblem(rng.standard_normal(n), a_eq=a_eq, b_eq=a_eq @ x0, a_le=a_le,
+                         b_le=a_le @ x0 + rng.uniform(0.1, 1.0, 2), bounds=[(-3.0, 3.0)] * n)
+        free = _free_box(prob, np.ones(n, dtype=bool))
+        assert len(linprog._StandardForm(free).free) > me
+        _check_against_oracle(free)
+
+
+def test_all_zero_free_column():
+    def widen(a):
+        return None if a is None else np.hstack([a, np.zeros((a.shape[0], 1))])
+
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        prob = random_lp_problem(rng)
+        prob = _free_box(prob, rng.random(prob.n_vars) < 0.5)
+        n = prob.n_vars
+        for cost in (0.0, 1.0):
+            wide = LpProblem(np.append(prob.c, cost), a_eq=widen(prob.a_eq), b_eq=prob.b_eq,
+                             a_le=widen(prob.a_le), b_le=prob.b_le, bounds=prob.bounds + [(None, None)])
+            sol = lp_solve(wide)
+            check_lp_certificate(wide, sol)
+            if cost:
+                # the zero column moves freely against its cost
+                assert sol.status == UNBOUNDED and sol.ray[n] < 0
+            else:
+                assert sol.status == OPTIMAL and sol.x[n] == 0.0
+                assert abs(sol.value - vertex_oracle(prob)[1]) <= 1e-7
+
+
+def test_redundant_equality_row():
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        prob = random_lp_problem(rng)
+        prob = _free_box(prob, rng.random(prob.n_vars) < 0.5)
+        n = prob.n_vars
+        x0 = rng.uniform(-1, 1, n)
+        a = rng.standard_normal((2, n))
+        # the third row is the sum of the first two, with its right-hand side
+        a_eq = np.vstack([a, a.sum(axis=0)])
+        b_eq = a_eq @ x0
+        b_le = None if prob.a_le is None else np.maximum(prob.b_le, prob.a_le @ x0 + 0.1)
+        red = LpProblem(prob.c, a_eq=a_eq, b_eq=b_eq, a_le=prob.a_le, b_le=b_le, bounds=prob.bounds)
+        sol = _check_against_oracle(red)
+        assert sol.residuals["primal_eq"] <= 1e-8
+
+
+def test_degenerate_cycling_instance_switches_to_bland(monkeypatch):
+    """Beale's example (Chvatal, Linear Programming, ch. 3) cycles under
+    Dantzig pricing with lowest-index ties; the switch to Bland's rule
+    ends it at the optimum x = (1, 0, 1, 0), value -1."""
+    made = []
+
+    class Spy(linprog._Simplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(linprog, "_Simplex", Spy)
+    c = np.array([-10.0, 57.0, 9.0, 24.0])
+    a_le = np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    prob = LpProblem(c, a_le=a_le, b_le=[0.0, 0.0, 1.0], bounds=[(0.0, None)] * 4)
+    sol = lp_solve(prob)
+    assert made[-1].bland
+    assert sol.iterations > linprog.BLAND_TRIGGER
+    assert sol.status == OPTIMAL
+    assert abs(sol.value - vertex_oracle(prob)[1]) <= 1e-9
+    assert np.allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    check_lp_certificate(prob, sol)
+    # the same instance with a free copy of x_1 pinned by equality
+    free = LpProblem(np.append(c, 0.0), a_eq=[[1.0, 0.0, 0.0, 0.0, -1.0]], b_eq=[0.0],
+                     a_le=np.hstack([a_le, np.zeros((3, 1))]), b_le=[0.0, 0.0, 1.0],
+                     bounds=[(0.0, None)] * 4 + [(None, None)])
+    sol = lp_solve(free)
+    assert sol.status == OPTIMAL and abs(sol.value + 1.0) <= 1e-9
+    check_lp_certificate(free, sol)
+
+
+def test_free_variables_are_single_columns():
+    # the sup epigraph of test_sup_epigraph_line: three free b, one t >= 0
+    prob = LpProblem(np.array([0.0, 0.0, 0.0, 1.0]), a_eq=np.hstack([np.eye(2), np.zeros((2, 2))]),
+                     b_eq=[1.0, 2.0], bounds=[(None, None)] * 3 + [(0.0, None)])
+    form = linprog._StandardForm(prob)
+    assert form.a.shape == (2, 4)
+    sol = lp_solve(prob)
+    assert sol.status == OPTIMAL and np.allclose(sol.x, [1.0, 2.0, 0.0, 0.0])
+    check_lp_certificate(prob, sol)
+
+
+def test_free_columns_take_equality_rows_first():
+    # x1 appears only in the second inequality row, x2 in every row, x3 >= 0:
+    # x1 is pivoted into that inequality row, then x2 into an equality row
+    # (the larger entry 2 sits in the first inequality row), which leaves
+    # one equality row and one inequality row live, and one artificial
+    a_eq = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+    a_le = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
+    prob = LpProblem(np.array([1.0, 0.0, 1.0]), a_eq=a_eq, b_eq=[1.0, 1.0], a_le=a_le, b_le=[5.0, 4.0],
+                     bounds=[(-9.0, None), (None, None), (0.0, None)])
+    sx = linprog._Simplex(linprog._StandardForm(prob), 100)
+    assert list(sx.frozen_cols) == [0, 1]
+    assert sx.n_art == 1
+    sol = lp_solve(prob)
+    assert sol.status == OPTIMAL and np.allclose(sol.x, [-9.0, 1.0, 0.0])
+    check_lp_certificate(prob, sol)

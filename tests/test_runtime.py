@@ -14,7 +14,8 @@ import sys
 import numpy as np
 from polygauge import (
     ExperimentConfig, GaugeSpec, check_accessibility, check_nrc_geometric, check_uniform_uniqueness,
-    run_recovery_experiment, solve, verify_thresholded, zero_threshold,
+    min_linf_representation, run_accessibility_sweep, run_recovery_experiment, solve, verify_thresholded,
+    zero_threshold,
 )
 zero_threshold(GaugeSpec.tv(4), np.eye(4), np.array([1.0, -0.5, 0.25, -0.75]))
 spec = GaugeSpec.custom([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
@@ -32,6 +33,9 @@ b = np.array([2.0, 1.7, -1.9, 0.3])
 assert not verify_thresholded(GaugeSpec.sup(4), b, b, 0.2)["condition3_minimal"]
 run_recovery_experiment(ExperimentConfig(seed=7, n=10, p=15, cluster_sizes=(6, 6, 3), lam_grid_size=4,
                                          tau_fracs=(0.1, 0.3)))
+assert abs(min_linf_representation(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]), [4.0, 4.0]) - 2.0) < 1e-9
+rows = run_accessibility_sweep(ExperimentConfig(seed=1, reps=2, k_values=(5, 35)))
+assert [r.failures for r in rows] == [0, 0] and rows[1].p_access == 0.0
 assert "scipy" not in sys.modules, "polygauge imported scipy"
 """.replace("CRITERION7_X", repr(STRONG_SIGNAL_X.tolist()))
 
