@@ -108,6 +108,7 @@ def _cmd_solve(args) -> int:
         "lambda": args.lam,
         "converged": res.converged,
         "iterations": res.iterations,
+        "polished": res.polished,
         "kkt_residual": res.kkt_residual,
         "objective": res.objective,
         "beta": res.beta.tolist(),

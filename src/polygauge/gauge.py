@@ -305,7 +305,7 @@ def named_pattern(kind: str, beta) -> NamedPattern:
     if kind == "sign":
         return NamedPattern("sign", tuple(int(x) for x in np.sign(b)))
     if kind == "slope":
-        return NamedPattern("slope_rank", tuple(_signed_ranks(b)))
+        return NamedPattern("slope_rank", tuple(int(x) for x in _signed_ranks(b)))
     if kind == "sup":
         m = np.max(np.abs(b), initial=0.0)
         if m == 0.0:
@@ -325,25 +325,33 @@ def named_pattern(kind: str, beta) -> NamedPattern:
     raise ValueError(f"unknown pattern kind {kind!r}")
 
 
-def _signed_ranks(b: np.ndarray, tol: float = 0.0) -> list:
-    """Signed magnitude ranks: 0 for (near-)zeros, ascending cluster ranks.
+def _signed_ranks(b: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Signed magnitude ranks as floats: 0 for (near-)zeros, ascending
+    cluster ranks.
 
     With tol > 0, magnitudes are chain-merged: consecutive sorted values
     closer than tol share a rank, and values <= tol count as zero.
     """
+    u, inv = np.unique(np.abs(b), return_inverse=True)
+    ranks = np.zeros(u.size)
+    k = int(np.searchsorted(u, tol, side="right"))  # u[k:] > tol
+    if k < u.size:
+        ranks[k:] = 1.0 + np.concatenate([[0.0], np.cumsum(np.diff(u[k:]) > tol)])
+    return np.sign(b) * ranks[inv] + 0.0
+
+
+def _snapped(kind: str, b: np.ndarray, tol: float) -> np.ndarray:
+    """The named pattern of an unvalidated vector b under active_set's
+    snapping at absolute tolerance tol, as floats with no -0.0: signs for
+    l1 (also the signs of D b for genlasso), signed maximal entries for
+    sup, signed cluster ranks for slope."""
+    if kind == "slope":
+        return _signed_ranks(b, tol)
     a = np.abs(b)
-    rank_of = {}
-    r = 0
-    prev = None
-    for v in np.sort(np.unique(a)):
-        if v <= tol:
-            rank_of[v] = 0
-            continue
-        if prev is None or v - prev > tol:
-            r += 1
-        rank_of[v] = r
-        prev = v
-    return [int(np.sign(x)) * rank_of[abs(x)] for x in b]
+    if kind == "sup":
+        m = a.max(initial=0.0)
+        return np.sign(b) * (a >= m - tol) + 0.0 if m > tol else np.zeros_like(b)
+    return np.sign(b) * (a > tol) + 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,6 +380,9 @@ class PatternFingerprint:
         return f"PatternFingerprint(key={self.key!r})"
 
 
+_NAMED_VARIANT = {"l1": "sign", "sup": "sup", "slope": "slope_rank"}
+
+
 def active_set(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> PatternFingerprint:
     """Fingerprint of the pattern of beta.
 
@@ -383,28 +394,15 @@ def active_set(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> PatternFingerpri
     b = as_vector(beta)
     pen = pen_eval(spec, b)
     tol = rel_tol * max(1.0, pen)
-    if spec.kind == "l1":
-        s = np.sign(b) * (np.abs(b) > tol)
-        vals = tuple(int(x) for x in s)
-        return PatternFingerprint(("l1", vals), pen, named=NamedPattern("sign", vals))
-    if spec.kind == "sup":
-        m = np.max(np.abs(b), initial=0.0)
-        if m <= tol:
-            vals = (0,) * spec.p
-        else:
-            vals = tuple(int(np.sign(x)) if abs(x) >= m - tol else 0 for x in b)
-        return PatternFingerprint(("sup", vals), pen, named=NamedPattern("sup", vals))
-    if spec.kind == "slope":
-        vals = tuple(_signed_ranks(b, tol=tol))
-        return PatternFingerprint(
-            ("slope", vals), pen, named=NamedPattern("slope_rank", vals)
-        )
+    if spec.kind in _NAMED_VARIANT:
+        vals = tuple(int(x) for x in _snapped(spec.kind, b, tol))
+        named = NamedPattern(_NAMED_VARIANT[spec.kind], vals)
+        return PatternFingerprint((spec.kind, vals), pen, named=named)
     u = generators(spec)
     idx = _active_from_matrix(u, b, rel_tol)
     named = None
     if spec.d_name in ("tv", "tf"):
-        diffs = spec.d @ b
-        snapped = np.sign(diffs) * (np.abs(diffs) > tol)
+        snapped = _snapped("l1", spec.d @ b, tol)
         named = NamedPattern(f"{spec.d_name}_sign", tuple(int(x) for x in snapped))
     return PatternFingerprint(("active", u.shape[0], idx), pen, named=named, active=idx)
 

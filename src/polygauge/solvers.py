@@ -20,11 +20,24 @@ balanced penalty parameter.  Its z-prox is exact: soft thresholding for
 pen(b) = max(U b) with u_1 = 0.  Convergence is declared on the KKT
 residual of the dual certificate g = X'(y - X beta)/lambda, never on
 iterate change: the downstream condition checkers reason about exact
-minimizers, so certification must be dual-based.
+minimizers, so certification must be dual-based.  ADMM takes the cheap
+half of that residual first, the gap |pen(beta) - g'beta|, and runs the
+dual_feasibility LP only when the gap is within tol.
+
+Polish.  On the pattern class of a point, pen is linear: pen(B theta) =
+s'B theta for the pattern subspace B (``pattern_subspace``) and any point
+s of the face of B* that the pattern names.  So the minimizer with a known
+pattern solves one small linear system,
+beta = B (B'X'X B)^-1 (B'X'y - lambda B's).  Both loops snap the iterate
+at each failed KKT check with active_set's rule at opts.pattern_rel_tol;
+when the snapped pattern equals the one at the previous check, they
+polish once per pattern and return the polished point if the loop's own
+KKT test holds there.  A singular B'X'X B or a failed test leaves the
+iterate untouched.  Polished zeros and ties are exact by construction.
 
 The prox operators are written so that tied components come out bitwise
 equal (clipping against a shared threshold, block averages), which keeps
-the exact pattern extractors usable on solver output.
+the exact pattern extractors usable on unpolished solver output.
 """
 
 from __future__ import annotations
@@ -40,8 +53,10 @@ from .gauge import (
     PatternFingerprint,
     _dual_gauge,
     _pen,
+    _snapped,
     active_set,
     dual_feasibility,
+    pattern_subspace,
     pen_eval,
 )
 from .numerics import as_matrix, as_vector, rank
@@ -181,7 +196,19 @@ class SolveOptions:
     max_iter: int = 100000
     restart_period: int = 2000
     check_every: int = 10
-    pattern_rel_tol: float = 1e-6  # fingerprint snapping along solution paths
+    pattern_rel_tol: float = 1e-6  # pattern snapping for the polish and along paths
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if self.check_every < 1:
+            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
+        if self.restart_period < 1:
+            raise ValueError(f"restart_period must be at least 1, got {self.restart_period}")
+        if not 0 <= self.pattern_rel_tol < 1:
+            raise ValueError(f"pattern_rel_tol must lie in [0, 1), got {self.pattern_rel_tol}")
 
 
 @dataclass
@@ -193,13 +220,15 @@ class SolveResult:
     iterations: int
     converged: bool
     objective_trace: list = field(default_factory=list)
+    polished: bool = False  # beta is the pattern-subspace solve, not an iterate
 
     @property
     def objective(self) -> float:
-        """Last entry of the trace.  FISTA's trace holds the best objective
-        so far; the returned beta's own objective may exceed it by at most
-        MONOTONE_RTOL * max(1, |objective|), plus the backtracking slack
-        when that step was a safeguard step."""
+        """Last entry of the trace.  When the polish produced beta, this is
+        beta's own objective.  Otherwise FISTA's trace holds the best
+        objective so far; the returned beta's own objective may exceed it
+        by at most MONOTONE_RTOL * max(1, |objective|), plus the
+        backtracking slack when that step was a safeguard step."""
         return self.objective_trace[-1] if self.objective_trace else float("nan")
 
 
@@ -251,6 +280,10 @@ def solve(
     y = as_vector(y)
     if x.shape[0] != y.shape[0] or x.shape[1] != spec.p:
         raise ValueError("dimension mismatch between spec, X and y")
+    if start is not None:
+        start = as_vector(start).copy()
+        if start.size != spec.p:
+            raise ValueError(f"start has length {start.size}, expected p = {spec.p}")
     if spec.kind in ("l1", "sup", "slope"):
         return _fista(spec, x, y, lam, opts, start)
     if spec.kind == "genlasso":
@@ -264,17 +297,18 @@ def solve(
 
 def _fista(spec, x, y, lam, opts, start):
     """Accelerated proximal gradient on validated inputs (see the module
-    docstring for its safeguard, restarts and KKT test)."""
+    docstring for its safeguard, restarts, KKT test and polish)."""
     kind = spec.kind
     w = None if spec.weights is None else np.asarray(spec.weights)
     prox = _prox_for(spec)
-    beta = np.zeros(spec.p) if start is None else as_vector(start).copy()
+    beta = np.zeros(spec.p) if start is None else start
     step = 1.0 / max(_spectral_norm_sq(x), 1e-12)
     r = x @ beta - y
     pen_b = _pen(kind, beta, w)
     obj = 0.5 * float(r @ r) + lam * pen_b
     trace = [obj]
     z, t_k, it = beta, 1.0, 0
+    polisher = _Polisher(spec, x, y, lam, opts)
     # always take at least one proximal step: a warm start may satisfy the
     # KKT tolerance while carrying junk components that the prox removes
     while it < opts.max_iter:
@@ -300,12 +334,111 @@ def _fista(spec, x, y, lam, opts, start):
         if it % opts.restart_period == 0:
             t_k, z = 1.0, beta
         if it == 1 or it % opts.check_every == 0:
-            # the KKT test of kkt_residual, from the accepted step's residual
-            g = x.T @ -rc / lam
-            if max(_dual_gauge(kind, g, w) - 1.0, abs(pen_b - float(g @ beta))) <= opts.tol:
+            if _kkt_named(kind, x, lam, beta, -rc, pen_b, w)[0] <= opts.tol:
+                break
+            polished = polisher.attempt(beta, pen_b)
+            if polished is not None:
+                beta = polished[0]
+                trace.append(polished[1])
                 break
     kkt, g = kkt_residual(spec, x, y, lam, beta)
-    return SolveResult(beta, x @ beta, g, kkt, it, kkt <= opts.tol, trace)
+    return SolveResult(beta, x @ beta, g, kkt, it, kkt <= opts.tol, trace, polisher.accepted)
+
+
+def _kkt_named(kind, x, lam, b, resid, pen_b, w):
+    """kkt_residual's expression and g for l1, sup and slope, from the
+    residual y - X b and pen(b)."""
+    g = x.T @ resid / lam
+    return max(_dual_gauge(kind, g, w) - 1.0, abs(pen_b - float(g @ b))), g
+
+
+class _Polisher:
+    """The polish step of one solve.
+
+    At each KKT check that fails, ``attempt`` snaps the iterate with
+    active_set's rule at opts.pattern_rel_tol.  When the snapped pattern
+    equals the one at the previous check and has not been tried yet, it
+    solves for the minimizer with that pattern (``_polish``) and returns
+    (beta, objective, KKT residual, g) if the loop's KKT test holds there
+    within opts.tol, else None.  Each pattern is tried once.
+    """
+
+    def __init__(self, spec, x, y, lam, opts):
+        self.spec, self.x, self.y, self.lam, self.opts = spec, x, y, lam, opts
+        self.w = None if spec.weights is None else np.asarray(spec.weights)
+        self.image = {"genlasso": spec.d, "custom": spec.u}.get(spec.kind)
+        self.prev = None
+        self.tried = set()
+        self.accepted = False
+
+    def attempt(self, beta, pen_b):
+        pattern = self._pattern(beta, pen_b)
+        key = pattern.tobytes()
+        prev, self.prev = self.prev, key
+        if key != prev or key in self.tried:
+            return None
+        self.tried.add(key)
+        b = _polish(self.spec, self.x, self.y, self.lam, beta, self.opts.pattern_rel_tol,
+                    _face_point(self.spec, pattern, self.w))
+        if b is None:
+            return None
+        kind, resid = self.spec.kind, self.y - self.x @ b
+        pen = _pen(kind, b if self.image is None else self.image @ b, self.w)
+        if self.image is None:
+            kkt, g = _kkt_named(kind, self.x, self.lam, b, resid, pen, self.w)
+        else:
+            kkt, g = _admm_kkt(self.spec, self.x, self.y, self.lam, b, pen, self.opts.tol)
+        if not kkt <= self.opts.tol:
+            return None
+        self.accepted = True
+        return b, 0.5 * float(resid @ resid) + self.lam * pen, kkt, g
+
+    def _pattern(self, b, pen_b):
+        """active_set's snapped pattern of b at pattern_rel_tol, as an array:
+        the named pattern (l1, sup, slope), the snapped signs of D b
+        (genlasso) or the active-row mask of U b (custom)."""
+        tol = self.opts.pattern_rel_tol * max(1.0, pen_b)
+        kind = self.spec.kind
+        if kind == "custom":
+            return self.image @ b >= pen_b - tol
+        if kind == "genlasso":
+            return _snapped("l1", self.image @ b, tol)
+        return _snapped(kind, b, tol)
+
+
+def _face_point(spec, pattern, w):
+    """A point s of the face of B* named by a snapped pattern; on that
+    pattern's subspace B, pen(B theta) = s'B theta."""
+    kind = spec.kind
+    if kind == "l1":
+        return pattern
+    if kind == "genlasso":
+        return spec.d.T @ pattern  # D_A' sign(D b)_A over the active rows
+    if kind == "custom":
+        return spec.u[int(np.argmax(pattern))]  # one active generator row
+    s = np.zeros(spec.p)
+    if kind == "sup":
+        j = int(np.argmax(np.abs(pattern)))  # sigma_j e_j, j maximal
+        s[j] = pattern[j]
+        return s
+    s[np.argsort(-np.abs(pattern), kind="stable")] = w  # weights in rank order
+    return np.sign(pattern) * s
+
+
+def _polish(spec, x, y, lam, beta, rel_tol, s):
+    """The minimizer over the pattern subspace B of beta (snapped at
+    rel_tol), with s a point of its face: on that subspace the objective is
+    0.5 ||y - X B theta||^2 + lam s'B theta, so
+    beta = B (B'X'X B)^-1 (B'X'y - lam B's).  None when B'X'X B is
+    singular or the solve is not finite."""
+    basis = pattern_subspace(spec, beta, rel_tol).vectors
+    xb = x @ basis
+    try:
+        theta = np.linalg.solve(xb.T @ xb, xb.T @ y - lam * (basis.T @ s))
+    except np.linalg.LinAlgError:
+        return None
+    b = basis @ theta
+    return b if np.all(np.isfinite(b)) else None
 
 
 def _backtrack_step(x, y, lam, z, step, prox):
@@ -325,6 +458,18 @@ def _backtrack_step(x, y, lam, z, step, prox):
         step *= 0.5
 
 
+def _admm_kkt(spec, x, y, lam, b, pen_b, tol):
+    """kkt_residual at b for genlasso and custom gauges, with the cheap gap
+    |pen(b) - g'b| taken first: its dual_feasibility LP runs only when the
+    gap is within tol.  Returns (bound, g), where bound is the KKT residual
+    when the LP ran and the gap, a lower bound of it, otherwise."""
+    g = x.T @ (y - x @ b) / lam
+    gap = abs(pen_b - float(g @ b))
+    if gap > tol:
+        return gap, g
+    return max(dual_feasibility(spec, g), gap), g
+
+
 def _admm(spec, x, y, lam, opts, start):
     """Operator splitting on z = M b: M = D with the prox of t*||.||_1
     (genlasso), M = U with the prox of t*max(.) (custom gauges).
@@ -340,12 +485,13 @@ def _admm(spec, x, y, lam, opts, start):
     dtd = d.T @ d
     rho = 1.0
     solve_mat = _factorize(xtx + rho * dtd)
-    beta = np.zeros(p) if start is None else as_vector(start).copy()
+    beta = np.zeros(p) if start is None else start
     z = d @ beta
     dual_u = np.zeros(m)
     r = y - x @ beta
     trace = [0.5 * float(r @ r) + lam * _pen(spec.kind, z)]  # pen of M b
-    best = (np.inf, beta.copy(), 0)
+    best = None  # (KKT bound, iterate) with the smallest bound so far
+    polisher = _Polisher(spec, x, y, lam, opts)
     it = 0
     check_every = 50
     while it < opts.max_iter:
@@ -359,7 +505,8 @@ def _admm(spec, x, y, lam, opts, start):
         dual_u = dual_u + db - z_new
         z = z_new
         r = y - x @ beta
-        trace.append(0.5 * float(r @ r) + lam * _pen(spec.kind, db))
+        pen_b = _pen(spec.kind, db)
+        trace.append(0.5 * float(r @ r) + lam * pen_b)
         if it % 25 == 0:
             if r_primal > 10.0 * r_dual:
                 rho *= 2.0
@@ -370,15 +517,21 @@ def _admm(spec, x, y, lam, opts, start):
                 dual_u *= 2.0
                 solve_mat = _factorize(xtx + rho * dtd)
         if it % check_every == 0:
-            kkt, g = kkt_residual(spec, x, y, lam, beta)
-            if kkt < best[0]:
-                best = (kkt, beta.copy(), it)
-            if kkt <= opts.tol:
-                return SolveResult(beta, x @ beta, g, kkt, it, True, trace)
+            bound, g = _admm_kkt(spec, x, y, lam, beta, pen_b, opts.tol)
+            if bound <= opts.tol:
+                return SolveResult(beta, x @ beta, g, bound, it, True, trace)
+            if best is None or bound < best[0]:
+                best = (bound, beta)
+            polished = polisher.attempt(beta, pen_b)
+            if polished is not None:
+                beta, obj, kkt, g = polished
+                trace.append(obj)
+                return SolveResult(beta, x @ beta, g, kkt, it, True, trace, True)
     kkt, g = kkt_residual(spec, x, y, lam, beta)
-    if kkt > best[0]:
-        beta = best[1]
-        kkt, g = kkt_residual(spec, x, y, lam, beta)
+    if best is not None and best[1] is not beta:
+        kkt_best, g_best = kkt_residual(spec, x, y, lam, best[1])
+        if kkt_best < kkt:
+            beta, kkt, g = best[1], kkt_best, g_best
     return SolveResult(beta, x @ beta, g, kkt, it, kkt <= opts.tol, trace)
 
 

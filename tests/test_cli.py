@@ -40,6 +40,21 @@ def test_cli_solve_writes_outputs(sup_case_files, capsys):
     assert payload["fingerprint"]["pattern"] == [0, 1, 1]
     beta = read_vector(out_dir / "beta.csv")
     assert abs(beta[0] - 0.5) < 1e-7
+    assert payload["polished"] is True
+
+
+@pytest.mark.parametrize("flag, value", [("--restart-period", "0"), ("--tol", "-1"), ("--max-iter", "-5")])
+def test_cli_solve_rejects_invalid_options(sup_case_files, capsys, flag, value):
+    rc = main(
+        [
+            "solve", "--penalty", "sup",
+            "--x", str(sup_case_files / "x.csv"), "--y", str(sup_case_files / "y.csv"),
+            "--lam", "1.0", flag, value,
+        ]
+    )
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert flag.lstrip("-").replace("-", "_") in err["error"]
 
 
 def test_cli_path_breakpoints(sup_case_files, capsys):

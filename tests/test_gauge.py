@@ -20,7 +20,7 @@ from polygauge import (
     tv_matrix,
 )
 from polygauge.conditions import check_uniform_uniqueness
-from polygauge.gauge import _faces_below, round_sig
+from polygauge.gauge import _faces_below, _signed_ranks, round_sig
 
 ALL_SMALL_SPECS = [
     GaugeSpec.l1(3),
@@ -159,6 +159,33 @@ def test_pattern_sign():
 
 def test_pattern_slope_printed_example():
     assert named_pattern("slope", [3.1, -1.2, 0.5, 0, 1.2, -3.1]).values == (3, -2, 1, 0, 2, -3)
+
+
+def _signed_ranks_loop(b, tol):
+    """The chain-merging rank loop: a sorted magnitude above tol starts a
+    new rank when it exceeds the previous one above tol by more than tol."""
+    rank_of, r, prev = {}, 0, None
+    for v in np.sort(np.unique(np.abs(b))):
+        if v <= tol:
+            rank_of[v] = 0
+            continue
+        if prev is None or v - prev > tol:
+            r += 1
+        rank_of[v] = r
+        prev = v
+    return [int(np.sign(x)) * rank_of[abs(x)] for x in b]
+
+
+def test_signed_ranks_match_the_loop():
+    rng = np.random.default_rng(30)
+    for trial in range(400):
+        p = int(rng.integers(1, 12))
+        b = np.round(3.0 * rng.standard_normal(p), int(rng.integers(0, 3)))
+        b[rng.integers(p)] = 0.0
+        b[0] = -b[-1]
+        tol = [0.0, 1e-6, 0.05, 0.3, 2.0][trial % 5]
+        assert _signed_ranks(b, tol).tolist() == _signed_ranks_loop(b, tol)
+        assert named_pattern("slope", b).values == tuple(_signed_ranks_loop(b, 0.0))
 
 
 def test_pattern_sup_printed_example():

@@ -21,6 +21,14 @@ zero_threshold(GaugeSpec.tv(4), np.eye(4), np.array([1.0, -0.5, 0.25, -0.75]))
 spec = GaugeSpec.custom([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 zero_threshold(spec, np.eye(2), np.array([0.3, -0.2]))
 assert solve(spec, np.eye(2), np.array([0.3, -0.2]), 0.1).converged
+tv_rng = np.random.Generator(np.random.Philox(key=np.array([2023, 13], dtype=np.uint64)))
+tv_rng.standard_normal(48)
+tv_y = np.repeat(tv_rng.standard_normal(4), 12) + 0.3 * tv_rng.standard_normal(48)
+assert solve(GaugeSpec.tv(48), np.eye(48), tv_y, 0.5).polished
+slope_rng = np.random.default_rng(0)
+slope_x, slope_y = slope_rng.standard_normal((6, 8)), slope_rng.standard_normal(6)
+slope8 = GaugeSpec.slope(np.arange(8.0, 0.0, -1.0))
+assert solve(slope8, slope_x, slope_y, 0.3 * zero_threshold(slope8, slope_x, slope_y)).polished
 rng = np.random.default_rng(0)
 beta = np.zeros(10)
 beta[:2] = [1.0, -0.5]

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from polygauge import (
+    ExperimentConfig,
     GaugeSpec,
     NotConvergedError,
     SolveOptions,
@@ -9,15 +12,20 @@ from polygauge import (
     generators,
     kkt_residual,
     named_pattern,
+    pattern_subspace,
     pen_eval,
     prox_l1,
     prox_linf,
     prox_sorted_l1,
+    project_simplex,
+    run_recovery_experiment,
     solution_path,
     solve,
+    tv_matrix,
     zero_threshold,
 )
-from polygauge.solvers import _prox_for, _spectral_norm_sq
+from polygauge import experiments, linprog, solvers
+from polygauge.solvers import _Polisher, _face_point, _polish, _prox_for, _spectral_norm_sq
 from test_acceptance import STRONG_SIGNAL_BETA, STRONG_SIGNAL_EPS, STRONG_SIGNAL_X
 
 
@@ -284,3 +292,290 @@ def test_admm_trace_is_the_objective_bitwise(spec):
         r = y - x @ res.beta
         assert res.objective_trace[-1] == 0.5 * float(r @ r) + 0.4 * pen_eval(spec, res.beta)
         assert len(res.objective_trace) == k + 1
+
+
+# ---------------------------------------------------------------------------
+# the polish
+
+
+def test_criterion7_strong_signal_solve_is_polished():
+    # sup(6) at r = 100: the polished minimizer carries its maximal cluster
+    # bitwise tied, so the exact extractor reads the snapped pattern
+    spec = GaugeSpec.sup(6)
+    y = STRONG_SIGNAL_X @ (100.0 * STRONG_SIGNAL_BETA) + STRONG_SIGNAL_EPS
+    opts = SolveOptions(tol=1e-8)
+    res = solve(spec, STRONG_SIGNAL_X, y, 1.0, opts)
+    assert res.converged and res.polished
+    top = np.abs(res.beta) == np.max(np.abs(res.beta))
+    assert top.sum() >= 2
+    assert named_pattern("sup", res.beta) == active_set(spec, res.beta, opts.pattern_rel_tol).named
+    assert kkt_residual(spec, STRONG_SIGNAL_X, y, 1.0, res.beta)[0] <= opts.tol
+
+
+def test_polished_l1_zeros_are_exact():
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((8, 12))
+    beta = np.zeros(12)
+    beta[:3] = [2.0, -1.5, 1.0]
+    y = x @ beta + 0.1 * rng.standard_normal(8)
+    res = solve(GaugeSpec.l1(12), x, y, 0.3 * zero_threshold(GaugeSpec.l1(12), x, y))
+    assert res.converged and res.polished
+    support = np.abs(res.beta) > 1e-6
+    assert 0 < support.sum() < 12
+    assert np.all(res.beta[~support] == 0.0)
+
+
+def _fista_reference(grad, prox, lipschitz, start, iters):
+    """Plain FISTA with the fixed step 1/lipschitz: no backtracking,
+    restarts, KKT checks or polish."""
+    b = z = start
+    t = 1.0
+    for _ in range(iters):
+        b_new = prox(z - grad(z) / lipschitz)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = b_new + ((t - 1.0) / t_new) * (b_new - b)
+        b, t = b_new, t_new
+    return b
+
+
+def _reference_minimizer(spec, x, y, lam, iters=5000):
+    """The minimizer from a long unpolished FISTA run.  l1, sup, slope: on
+    the primal.  genlasso, custom (X of full column rank, X = QR): with
+    c = R b the problem is 0.5 ||Q'y - c||^2 + lam pen(R^-1 c), whose
+    minimizer is Q'y - M'v with v minimizing 0.5 ||Q'y - M'v||^2 over a box
+    (M = D R^-1, |v| <= lam) or a simplex (M = lam U R^-1)."""
+    if spec.kind in ("l1", "sup", "slope"):
+        lip = np.linalg.norm(x, 2) ** 2
+        prox = _prox_for(spec)
+        return _fista_reference(lambda b: x.T @ (x @ b - y), lambda v: prox(v, lam / lip), lip,
+                                np.zeros(spec.p), iters)
+    q, r = np.linalg.qr(x)
+    rinv = np.linalg.inv(r)
+    qy = q.T @ y
+    if spec.kind == "genlasso":
+        m, proj = spec.d @ rinv, lambda v: np.clip(v, -lam, lam)
+    else:
+        m, proj = lam * spec.u @ rinv, lambda v: project_simplex(v, 1.0)
+    lip = np.linalg.norm(m, 2) ** 2
+    v = _fista_reference(lambda v: m @ (m.T @ v - qy), proj, lip, np.zeros(m.shape[0]), iters)
+    return rinv @ (qy - m.T @ v)
+
+
+def _random_instance(kind, rng):
+    if kind in ("l1", "sup", "slope"):
+        x = rng.standard_normal((8, 5))
+        spec = {"l1": GaugeSpec.l1(5), "sup": GaugeSpec.sup(5),
+                "slope": GaugeSpec.slope([2.0, 1.6, 1.3, 1.1, 1.0])}[kind]
+        return spec, x, 2.0 * rng.standard_normal(8)
+    if kind == "tv":
+        x = rng.standard_normal((12, 8))
+        return GaugeSpec.tv(8), x, x @ np.repeat(rng.standard_normal(2), 4) + 0.3 * rng.standard_normal(12)
+    u = np.vstack([np.zeros((1, 3)), rng.standard_normal((5, 3))])
+    return GaugeSpec.custom(u), rng.standard_normal((6, 3)), 2.0 * rng.standard_normal(6)
+
+
+@pytest.mark.parametrize("kind", ["l1", "sup", "slope", "tv", "custom"])
+def test_polish_agrees_with_long_unpolished_run(kind):
+    # the solver's answer and the polish of it both match the reference;
+    # every FISTA kind polishes inside the loop
+    rng = np.random.default_rng({"l1": 21, "sup": 22, "slope": 23, "tv": 24, "custom": 25}[kind])
+    opts = SolveOptions(tol=1e-9)
+    for _ in range(4):
+        spec, x, y = _random_instance(kind, rng)
+        lam = 0.5
+        ref = _reference_minimizer(spec, x, y, lam)
+        res = solve(spec, x, y, lam, opts)
+        assert res.converged
+        assert res.polished or kind in ("tv", "custom")
+        assert np.max(np.abs(res.beta - ref)) <= 1e-6
+        polisher = _Polisher(spec, x, y, lam, opts)
+        pattern = polisher._pattern(res.beta, pen_eval(spec, res.beta))
+        b = _polish(spec, x, y, lam, res.beta, opts.pattern_rel_tol,
+                    _face_point(spec, pattern, polisher.w))
+        assert np.max(np.abs(b - ref)) <= 1e-6
+        assert kkt_residual(spec, x, y, lam, b)[0] <= opts.tol
+
+
+def test_polish_is_tried_in_admm():
+    # tv(48) denoising, the signals of the benchmark's ADMM solves
+    for y in _tv48_signals():
+        res = solve(GaugeSpec.tv(48), np.eye(48), y, 0.5)
+        assert res.converged and res.polished
+        assert kkt_residual(GaugeSpec.tv(48), np.eye(48), y, 0.5, res.beta)[0] <= 1e-7
+
+
+def _criterion6_design():
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    x = np.zeros((6, 10))
+    x[0, 0] = x[1, 1] = 1.0
+    x[:, 2] = 0.9 * (x[:, 0] + x[:, 1])
+    x[:, 3:] = rng.standard_normal((6, 7)) / np.sqrt(6)
+    return x
+
+
+def test_polish_falls_back_on_singular_reduced_gram(monkeypatch):
+    # criterion 6's design has x_3 = 0.9 (x_1 + x_2): a pattern with all
+    # three (or more than 6 nonzeros) has a singular B'X'XB
+    x = _criterion6_design()
+    beta = np.zeros(10)
+    beta[:2] = 1.0
+    spec = GaugeSpec.l1(10)
+    attempts = []
+
+    def recording(spec, x, y, lam, b, rel_tol, s):
+        out = _polish(spec, x, y, lam, b, rel_tol, s)
+        xb = x @ pattern_subspace(spec, b, rel_tol).vectors
+        attempts.append((np.linalg.matrix_rank(xb.T @ xb) < xb.shape[1], out))
+        return out
+
+    monkeypatch.setattr(solvers, "_polish", recording)
+    singular_none = 0
+    for i in range(5):
+        eps = np.random.Generator(np.random.Philox(key=np.array([7, 1000 + i], dtype=np.uint64)))
+        y = x @ beta + 0.5 * eps.standard_normal(6)
+        lam = zero_threshold(spec, x, y) / 100.0
+        attempts.clear()
+        res = solve(spec, x, y, lam)
+        assert res.converged
+        assert kkt_residual(spec, x, y, lam, res.beta)[0] <= 1e-7
+        singular_none += sum(1 for singular, out in attempts if singular and out is None)
+        if res.polished:
+            singular, out = attempts[-1]
+            assert not singular and np.array_equal(out, res.beta)
+    assert singular_none >= 1
+
+
+def test_polish_rejects_a_pattern_whose_solve_flips_a_sign():
+    # X = I, y = (3, 0.5), lam = 1: the minimizer is (2, 0).  A start with
+    # pattern (1, -1) polishes to y - s = (2, 1.5), whose second sign flips;
+    # the KKT test rejects it and the loop goes on from the iterate
+    spec, x, y = GaugeSpec.l1(2), np.eye(2), np.array([3.0, 0.5])
+    opts = SolveOptions()
+    polisher = _Polisher(spec, x, y, 1.0, opts)
+    wrong = np.array([2.0, -0.01])
+    assert polisher.attempt(wrong, pen_eval(spec, wrong)) is None
+    assert polisher.attempt(wrong, pen_eval(spec, wrong)) is None
+    assert len(polisher.tried) == 1 and not polisher.accepted
+    pattern = polisher._pattern(wrong, pen_eval(spec, wrong))
+    flipped = _polish(spec, x, y, 1.0, wrong, opts.pattern_rel_tol, _face_point(spec, pattern, None))
+    assert flipped.tolist() == [2.0, 1.5]
+    res = solve(spec, x, y, 1.0, opts, start=wrong)
+    assert res.converged and res.beta.tolist() == [2.0, 0.0]
+
+
+def test_polished_objective_closes_the_trace():
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((6, 8))
+    y = rng.standard_normal(6)
+    for spec in (GaugeSpec.l1(8), GaugeSpec.sup(8), GaugeSpec.slope(np.arange(8.0, 0.0, -1.0))):
+        lam = 0.2 * zero_threshold(spec, x, y)
+        res = solve(spec, x, y, lam)
+        assert res.polished
+        r = y - x @ res.beta
+        assert res.objective == 0.5 * float(r @ r) + lam * pen_eval(spec, res.beta)
+        assert len(res.objective_trace) == res.iterations + 2
+        assert res.objective <= res.objective_trace[-2] + 1e-12
+
+
+def test_fig6_iteration_budget(monkeypatch):
+    # seed 7 took 11,781 FISTA iterations over its 40 sup-norm solves before
+    # the polish
+    counts = []
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        counts.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(experiments, "solve", counting)
+    run_recovery_experiment(ExperimentConfig(seed=7))
+    assert len(counts) == 40
+    assert sum(counts) <= 5000
+
+
+def _tv48_signals():
+    # the two tv(48) signals of the benchmark's ADMM solves: Philox key
+    # (2023, 13), after two tv(20) signals
+    rng = np.random.Generator(np.random.Philox(key=np.array([2023, 13], dtype=np.uint64)))
+    out = []
+    for p in (20, 20, 48, 48):
+        y = np.repeat(rng.standard_normal(4), p // 4) + 0.3 * rng.standard_normal(p)
+        if p == 48:
+            out.append(y)
+    return out
+
+
+def test_admm_runs_the_kkt_lp_only_when_the_gap_passes(monkeypatch):
+    # each ADMM check ran a dual_feasibility LP, 5 and 6 on these solves;
+    # the gap pre-screen leaves the LP to checks that can pass
+    calls = []
+    lp_solve = linprog.lp_solve
+
+    def counting(problem):
+        calls.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr(linprog, "lp_solve", counting)
+    for y in _tv48_signals():
+        calls.clear()
+        res = solve(GaugeSpec.tv(48), np.eye(48), y, 0.5)
+        assert res.converged
+        assert len(calls) <= 2
+
+
+def test_admm_unconverged_returns_the_smaller_true_kkt(monkeypatch):
+    # unconverged, the solver recomputes the true KKT residual of its last
+    # iterate and of the iterate with the smallest bound (the gap where the
+    # LP was skipped) and returns the smaller one
+    y = _tv48_signals()[0]
+    spec, x = GaugeSpec.tv(48), np.eye(48)
+    calls = []
+
+    def recording(spec, x, y, lam, beta):
+        out = kkt_residual(spec, x, y, lam, beta)
+        calls.append((np.array(beta), out[0]))
+        return out
+
+    monkeypatch.setattr(solvers, "kkt_residual", recording)
+    for k in (60, 170):
+        calls.clear()
+        res = solve(spec, x, y, 0.5, SolveOptions(max_iter=k))
+        assert not res.converged
+        assert len(calls) == 2  # the last iterate, then the best by bound (iteration 50 or 150)
+        last = calls[0][0]
+        r = y - last
+        assert res.objective_trace[-1] == 0.5 * float(r @ r) + 0.5 * pen_eval(spec, last)
+        assert res.kkt_residual == min(kkt for _, kkt in calls)
+        assert res.kkt_residual == kkt_residual(spec, x, y, 0.5, res.beta)[0]
+
+    def last_is_worse(spec, x, y, lam, beta):
+        kkt, g = kkt_residual(spec, x, y, lam, beta)
+        calls.append(beta)
+        return (kkt + 1.0 if len(calls) == 1 else kkt), g
+
+    monkeypatch.setattr(solvers, "kkt_residual", last_is_worse)
+    calls.clear()
+    res = solve(spec, x, y, 0.5, SolveOptions(max_iter=60))
+    assert res.beta is calls[1] and res.kkt_residual == kkt_residual(spec, x, y, 0.5, calls[1])[0]
+
+
+# ---------------------------------------------------------------------------
+# options at the boundary
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("max_iter", -1),
+    ("check_every", 0), ("restart_period", 0), ("pattern_rel_tol", -1e-9), ("pattern_rel_tol", 1.0),
+])
+def test_solve_options_reject_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_edge_values():
+    SolveOptions(max_iter=0, check_every=1, restart_period=1, pattern_rel_tol=0.0)
+
+
+def test_solve_rejects_start_of_wrong_length():
+    with pytest.raises(ValueError, match="length 2, expected p = 3"):
+        solve(GaugeSpec.l1(3), np.eye(3), np.ones(3), 0.5, start=np.zeros(2))
