@@ -16,14 +16,14 @@ from . import linprog
 from .gauge import (
     GaugeSpec,
     GeneratorBlowup,
-    active_indices,
     active_set,
+    _basis,
     _dual_gauge,
+    _face_rows,
     _faces_below,
+    _snap,
     enumerate_faces,
-    generators,
     pen_eval,
-    pattern_subspace,
 )
 from .numerics import _row_space_preimage, as_matrix, as_vector, rank
 from .solvers import SolveOptions, solution_path
@@ -48,6 +48,8 @@ class ConditionReport:
                          intersection LP; the condition holds iff that LP
                          is feasible, phase-1 <= linprog.PHASE1_RTOL *
                          (1 + ||b||_inf) = 2e-8, i.e. margin >= -2e-8.
+                         The certificate's "pattern" is active_set's
+                         pattern of beta, naming the span and face tested.
       analytic-l1      : 1 - ||X'(X_I')^+ sign(beta_I)||_inf, -inf when the
                          sign vector is outside row(X_I).
       analytic-sup     : 1 - ||X'(Xtilde')^+ e_1||_1, -inf when e_1 is
@@ -203,21 +205,25 @@ def _meets_face(image: np.ndarray, rows: np.ndarray) -> linprog.FeasibilityResul
 
 def check_nrc_geometric(spec: GaugeSpec, x, beta, rel_tol: float = 1e-8) -> ConditionReport:
     """Noiseless recovery via the geometric test: X'X applied to the span
-    of the pattern class must meet the subdifferential face of beta."""
+    of the pattern class must meet the subdifferential face of beta.
+
+    The span and the face are both read from active_set's pattern of beta
+    at rel_tol (certificate "pattern").  The face enters the LP as its
+    generator rows, so one with more than 2^16 raises GeneratorBlowup.
+    """
     x = as_matrix(x)
-    beta = as_vector(beta)
-    basis = pattern_subspace(spec, beta, rel_tol=rel_tol)
-    u = generators(spec)
-    idx = list(active_indices(spec, beta, rel_tol=rel_tol))
-    res = _meets_face(x.T @ (x @ basis.vectors), u[idx])
+    pattern = _snap(spec, beta, rel_tol)[1]
+    basis = _basis(spec, pattern)
+    rows = _face_rows(spec, pattern)
+    res = _meets_face(x.T @ (x @ basis.vectors), rows)
     m = basis.dim
-    cert: dict = {"active_set": idx, "pattern_subspace_dim": m}
+    cert: dict = {"pattern": [int(v) for v in pattern], "pattern_subspace_dim": m}
     if res.feasible:
         cvec = res.witness[:m]
         alpha = res.witness[m:]
         cert["witness_point"] = basis.vectors @ cvec
         cert["witness_alpha"] = alpha
-        cert["witness_subgradient"] = u[idx].T @ alpha
+        cert["witness_subgradient"] = rows.T @ alpha
     return ConditionReport(
         verdict=res.feasible,
         margin=-res.phase1_value,
@@ -464,9 +470,8 @@ def check_uniform_uniqueness(spec: GaugeSpec, x) -> ConditionReport:
             certificate={"deficiency": 0, "note": "injective design"},
         )
     if spec.kind == "custom":
-        u = generators(spec)
         faces = (
-            ({"vertices": list(f.vertices)}, f.dimension, u[list(f.vertices)])
+            ({"vertices": list(f.vertices)}, f.dimension, spec.u[list(f.vertices)])
             for f in enumerate_faces(spec)
             if f.dimension < deficiency
         )

@@ -6,19 +6,25 @@ at any point is the face of B* spanned by the generators attaining the max,
 and two points share a pattern exactly when those faces coincide.  The
 pattern complexity is the codimension of that face.
 
-Fingerprint canonicalization (the bijection backing equality tests):
+Fingerprint canonicalization (the bijection backing equality tests).  One
+snapped pattern array names the face for every kind (``_pattern``), and the
+basis of the pattern class, a point of the face and the generator rows on
+it are all read from that array (``_basis``, ``_face_point``,
+``_face_rows``); no named kind expands generators() on the way.
 
-* l1      -- the sign vector in {-1,0,1}^p; the active generators are
-             exactly the sign vectors of the cube agreeing with it on its
-             support.
-* slope   -- the signed-rank vector (zero for zero entries, equal ranks for
-             equal magnitudes, order-preserving); it determines the set of
-             active signed permutations of the weight vector.
-* sup     -- the vector with +-1 on maximal-magnitude entries; the active
-             generators are the matching signed unit vectors (all of them
-             at zero).
-* genlasso / custom -- the sorted index set of active generators over the
-             materialized generator matrix (cap 2^20 rows).
+* l1       -- the sign vector in {-1,0,1}^p; the face holds the sign
+              vectors of the cube agreeing with it on its support.
+* slope    -- the signed-rank vector (zero for zero entries, equal ranks for
+              equal magnitudes, order-preserving); it determines the face's
+              signed permutations of the weight vector (Schneider &
+              Tardivel, JMLR 2022).
+* sup      -- the vector with +-1 on maximal-magnitude entries; the face
+              holds the matching signed unit vectors (all of them at zero).
+* genlasso -- the sign vector of D beta in {-1,0,1}^m.  B* = D'[-1,1]^m is
+              a zonotope, whose faces correspond one-to-one to the covectors
+              sign(D a) (Ziegler, Lectures on Polytopes, Lecture 7); the
+              face is D' applied to the cube face of the sign vector.
+* custom   -- the 0/1 mask of the active rows of U beta.
 
 Named patterns themselves use exact component equality; tolerances live in
 ``active_set`` only.  Callers feeding solver output into exact extractors
@@ -36,13 +42,15 @@ import numpy as np
 from . import linprog
 from .numerics import as_matrix, as_vector, null_space_basis, rank, row_space_basis, SubspaceBasis
 
+# generators() refuses to expand beyond this many rows
 GENERATOR_CAP = 2**20
 # enumerate_faces tests all 2^k generator subsets, so k stays at most this
 _FACE_ENUMERATION_CAP = 16
 # enumerate_faces accepts a subset as an exact active set above this margin
 EXPOSURE_MARGIN = 1e-9
 # _faces_below refuses beyond this many faces (genlasso: covector LPs), the
-# LP budget of a full enumeration at _FACE_ENUMERATION_CAP
+# LP budget of a full enumeration at _FACE_ENUMERATION_CAP; _face_rows
+# refuses a face with more generator rows than this
 _FACE_LISTING_CAP = 2**_FACE_ENUMERATION_CAP
 CANON_DIGITS = 12
 
@@ -171,21 +179,10 @@ class GaugeSpec:
         return np.asarray(self.weights, dtype=float)
 
 
-def generator_count(spec: GaugeSpec) -> int:
-    """Expanded generator count, zero row included (before dedup)."""
-    if spec.kind == "l1":
-        return 2**spec.p + 1
-    if spec.kind == "slope":
-        return 2**spec.p * math.factorial(spec.p) + 1
-    if spec.kind == "sup":
-        return 2 * spec.p + 1
-    if spec.kind == "genlasso":
-        return 2 ** spec.d.shape[0] + 1
-    return spec.u.shape[0]
-
-
 def generators(spec: GaugeSpec) -> np.ndarray:
-    """Materialize the generator matrix U with u_1 = 0, rows distinct.
+    """Materialize the generator matrix U with u_1 = 0, rows distinct: for
+    the named kinds, the rows of the face of the all-zero pattern, which is
+    B* itself (_face_rows).
 
     Raises GeneratorBlowup when the expanded count exceeds the 2^20 cap.
     The result is cached on the spec (immutable derived data).
@@ -193,32 +190,10 @@ def generators(spec: GaugeSpec) -> np.ndarray:
     cached = getattr(spec, "_generator_cache", None)
     if cached is not None:
         return cached
-    count = generator_count(spec)
-    if count > GENERATOR_CAP:
-        raise GeneratorBlowup(
-            f"{spec.kind} gauge would expand to {count} generators (cap {GENERATOR_CAP})"
-        )
-    p = spec.p
     if spec.kind == "custom":
         u = np.asarray(spec.u, dtype=float)
     else:
-        if spec.kind == "l1":
-            rows = np.array(list(itertools.product((-1.0, 1.0), repeat=p)))
-        elif spec.kind == "sup":
-            rows = np.vstack([np.eye(p), -np.eye(p)])
-        elif spec.kind == "slope":
-            w = np.asarray(spec.weights)
-            perms = list(itertools.permutations(range(p)))
-            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=p)))
-            blocks = [w[list(perm)] * signs for perm in perms]
-            rows = np.vstack(blocks)
-        elif spec.kind == "genlasso":
-            m = spec.d.shape[0]
-            sigma = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-            rows = sigma @ spec.d
-        else:
-            raise ValueError(f"unknown gauge kind {spec.kind!r}")
-        u = _dedup_rows(np.vstack([np.zeros((1, p)), rows]))
+        u = _face_rows(spec, np.zeros(spec.p if spec.d is None else spec.d.shape[0]), GENERATOR_CAP)
     u.setflags(write=False)
     object.__setattr__(spec, "_generator_cache", u)
     return u
@@ -340,13 +315,20 @@ def _signed_ranks(b: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return np.sign(b) * ranks[inv] + 0.0
 
 
-def _snapped(kind: str, b: np.ndarray, tol: float) -> np.ndarray:
-    """The named pattern of an unvalidated vector b under active_set's
-    snapping at absolute tolerance tol, as floats with no -0.0: signs for
-    l1 (also the signs of D b for genlasso), signed maximal entries for
-    sup, signed cluster ranks for slope."""
+def _pattern(spec: GaugeSpec, b: np.ndarray, tol: float) -> np.ndarray:
+    """The snapped pattern of an unvalidated vector b at absolute tolerance
+    tol, the one key of its face of B*: signs for l1 (of D b for genlasso),
+    signed maximal entries for sup, signed cluster ranks for slope, all as
+    floats with no -0.0; for custom, the mask of the rows of U b within tol
+    of their max."""
+    kind = spec.kind
     if kind == "slope":
         return _signed_ranks(b, tol)
+    if kind == "custom":
+        vals = spec.u @ b
+        return vals >= _pen("custom", vals) - tol
+    if kind == "genlasso":
+        b = spec.d @ b
     a = np.abs(b)
     if kind == "sup":
         m = a.max(initial=0.0)
@@ -354,13 +336,21 @@ def _snapped(kind: str, b: np.ndarray, tol: float) -> np.ndarray:
     return np.sign(b) * (a > tol) + 0.0
 
 
+def _snap(spec: GaugeSpec, beta, rel_tol: float) -> tuple:
+    """(pen(beta), pattern of beta) under active_set's rule: the pattern is
+    snapped at rel_tol * max(1, pen(beta))."""
+    b = as_vector(beta)
+    pen = pen_eval(spec, b)
+    return pen, _pattern(spec, b, rel_tol * max(1.0, pen))
+
+
 @dataclass(frozen=True, eq=False)
 class PatternFingerprint:
     """Canonical identifier of a pattern equivalence class.
 
     Two fingerprints are equal exactly when the identified subdifferential
-    faces coincide.  ``active`` holds generator indices when computed from
-    a materialized generator matrix, None on the named shortcut route.
+    faces coincide.  ``active`` holds the active generator indices (rows of
+    U) for custom gauges, None for the named kinds.
     """
 
     key: tuple
@@ -384,39 +374,27 @@ _NAMED_VARIANT = {"l1": "sign", "sup": "sup", "slope": "slope_rank"}
 
 
 def active_set(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> PatternFingerprint:
-    """Fingerprint of the pattern of beta.
+    """Fingerprint of the pattern of beta: the key (kind, pattern), with the
+    pattern snapped at absolute tolerance rel_tol * max(1, pen(beta)) on its
+    defining comparisons (the module docstring lists the pattern per kind).
 
-    Named kinds use the snapped named pattern, with tolerance
-    rel_tol * max(1, pen(beta)) on the pattern-defining comparisons;
-    genlasso/custom apply the tolerance rule to materialized generators:
+    ``named`` holds the pattern for l1/sup/slope and the tv/tf factories;
+    ``active`` holds the indices of the active rows of U for custom gauges,
     I = {l : u_l'beta >= pen(beta) - rel_tol * max(1, pen(beta))}.
     """
-    b = as_vector(beta)
-    pen = pen_eval(spec, b)
-    tol = rel_tol * max(1.0, pen)
-    if spec.kind in _NAMED_VARIANT:
-        vals = tuple(int(x) for x in _snapped(spec.kind, b, tol))
-        named = NamedPattern(_NAMED_VARIANT[spec.kind], vals)
-        return PatternFingerprint((spec.kind, vals), pen, named=named)
-    u = generators(spec)
-    idx = _active_from_matrix(u, b, rel_tol)
-    named = None
-    if spec.d_name in ("tv", "tf"):
-        snapped = _snapped("l1", spec.d @ b, tol)
-        named = NamedPattern(f"{spec.d_name}_sign", tuple(int(x) for x in snapped))
-    return PatternFingerprint(("active", u.shape[0], idx), pen, named=named, active=idx)
-
-
-def _active_from_matrix(u: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple:
-    vals = u @ b
-    pen = _pen("custom", vals)
-    tol = rel_tol * max(1.0, pen)
-    return tuple(int(i) for i in np.flatnonzero(vals >= pen - tol))
+    pen, pattern = _snap(spec, beta, rel_tol)
+    vals = tuple(int(x) for x in pattern)
+    variant = _NAMED_VARIANT.get(spec.kind) or (spec.d_name and f"{spec.d_name}_sign")
+    named = NamedPattern(variant, vals) if variant else None
+    active = tuple(int(i) for i in np.flatnonzero(pattern)) if spec.kind == "custom" else None
+    return PatternFingerprint((spec.kind, vals), pen, named=named, active=active)
 
 
 def active_indices(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> tuple:
     """Active generator indices over the materialized generator matrix."""
-    return _active_from_matrix(generators(spec), as_vector(beta), rel_tol)
+    vals = generators(spec) @ as_vector(beta)
+    pen = _pen("custom", vals)
+    return tuple(int(i) for i in np.flatnonzero(vals >= pen - rel_tol * max(1.0, pen)))
 
 
 @dataclass(frozen=True)
@@ -439,16 +417,7 @@ def _face_from_indices(u: np.ndarray, idx) -> Face:
 
 def subdifferential_face(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> Face:
     """The face of B* equal to the subdifferential at beta."""
-    u = generators(spec)
-    idx = active_indices(spec, beta, rel_tol=rel_tol)
-    return _face_from_indices(u, idx)
-
-
-def _inactive_d_rows(spec: GaugeSpec, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    pen = pen_eval(spec, b)
-    tol = rel_tol * max(1.0, pen)
-    diffs = spec.d @ b
-    return spec.d[np.abs(diffs) <= tol]
+    return _face_from_indices(generators(spec), active_indices(spec, beta, rel_tol=rel_tol))
 
 
 def complexity(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> int:
@@ -466,49 +435,92 @@ def pattern_subspace(spec: GaugeSpec, beta, rel_tol: float = 1e-8) -> SubspaceBa
     """Orthonormal basis of the linear span of the pattern class of beta,
     the orthogonal complement of the subdifferential-face directions.
 
-    Closed forms for the named kinds avoid generator expansion; the basis
-    size is the pattern complexity, see complexity(spec, beta).
+    Read off active_set's snapped pattern (``_basis``), with no generator
+    expansion; the basis size is the pattern complexity, see
+    complexity(spec, beta).
     """
-    b = as_vector(beta)
-    p = spec.p
-    if spec.kind == "l1":
-        arr = active_set(spec, b, rel_tol).named.as_array()
-        cols = [_unit(p, j) for j in np.flatnonzero(arr != 0)]
-        return _basis_from_columns(p, cols)
-    if spec.kind == "sup":
-        arr = active_set(spec, b, rel_tol).named.as_array()
-        if np.all(arr == 0):
-            return _basis_from_columns(p, [])
-        cols = [_unit(p, j) for j in np.flatnonzero(arr == 0)]
-        v = arr.astype(float)
-        cols.append(v / np.linalg.norm(v))
-        return _basis_from_columns(p, cols)
-    if spec.kind == "slope":
-        arr = active_set(spec, b, rel_tol).named.as_array()
-        cols = []
-        for r in range(1, int(np.max(np.abs(arr), initial=0)) + 1):
-            v = np.where(np.abs(arr) == r, np.sign(arr), 0).astype(float)
-            cols.append(v / np.linalg.norm(v))
-        return _basis_from_columns(p, cols)
-    if spec.kind == "genlasso":
-        return null_space_basis(_inactive_d_rows(spec, b, rel_tol))
-    u = generators(spec)
-    idx = active_indices(spec, b, rel_tol=rel_tol)
-    pts = u[list(idx)]
-    diffs = pts[1:] - pts[0] if len(idx) > 1 else np.zeros((0, p))
-    return null_space_basis(diffs)
+    return _basis(spec, _snap(spec, beta, rel_tol)[1])
 
 
-def _unit(p: int, j: int) -> np.ndarray:
-    e = np.zeros(p)
-    e[j] = 1.0
-    return e
+def _basis(spec: GaugeSpec, pattern: np.ndarray) -> SubspaceBasis:
+    """Orthonormal basis of the span of the pattern class that a snapped
+    pattern names: the support (l1), the non-maximal coordinates plus the
+    signed maximal direction (sup), the signed cluster indicators (slope),
+    ker of the inactive rows of D (genlasso), the complement of the face
+    directions (custom)."""
+    p, kind = spec.p, spec.kind
+    if kind == "genlasso":
+        return null_space_basis(spec.d[pattern == 0])
+    if kind == "custom":
+        pts = spec.u[pattern]
+        return null_space_basis(pts[1:] - pts[0])
+    a = np.abs(pattern)
+    if kind == "l1":
+        cols = [np.eye(p)[:, a > 0]]
+    elif kind == "sup":
+        cols = [np.eye(p)[:, a == 0], pattern[:, None]] if a.any() else []
+    else:
+        cols = [np.where(a == r, np.sign(pattern), 0.0)[:, None] for r in range(1, int(a.max(initial=0)) + 1)]
+    vecs = np.hstack([np.zeros((p, 0))] + cols)
+    return SubspaceBasis(p, vecs / np.linalg.norm(vecs, axis=0))
 
 
-def _basis_from_columns(p: int, cols) -> SubspaceBasis:
-    if not cols:
-        return SubspaceBasis(p, np.zeros((p, 0)))
-    return SubspaceBasis(p, np.column_stack(cols))
+def _face_point(spec: GaugeSpec, pattern: np.ndarray) -> np.ndarray:
+    """A point s of the face of B* named by a snapped pattern; on that
+    pattern's subspace B, pen(B theta) = s'B theta."""
+    kind = spec.kind
+    if kind == "l1":
+        return pattern
+    if kind == "genlasso":
+        return spec.d.T @ pattern  # D_A' sign(D b)_A over the active rows
+    if kind == "custom":
+        return spec.u[int(np.argmax(pattern))]  # one active generator row
+    s = np.zeros(spec.p)
+    if kind == "sup":
+        j = int(np.argmax(np.abs(pattern)))  # sigma_j e_j, j maximal
+        s[j] = pattern[j]
+        return s
+    s[np.argsort(-np.abs(pattern), kind="stable")] = spec.weight_array  # weights in rank order
+    return np.sign(pattern) * s
+
+
+def _face_rows(spec: GaugeSpec, pattern: np.ndarray, cap: int = _FACE_LISTING_CAP) -> np.ndarray:
+    """The generator rows on the face of B* that a snapped pattern names, in
+    generators() order, with the zero row first for the all-zero pattern
+    (the face is then B* itself, as at beta = 0).
+
+    The rows are counted in closed form before any is built, and
+    GeneratorBlowup is raised when there are more than `cap`: 2^#zeros sign
+    vectors (l1; their images under D' for genlasso, then deduplicated),
+    #nonzeros signed unit vectors (sup), and for slope the product of the
+    cluster-size factorials times 2^#zeros.
+    """
+    kind, p = spec.kind, spec.p
+    if kind == "custom":
+        return spec.u[pattern]
+    zeros = int(np.sum(pattern == 0))
+    whole = zeros == pattern.size
+    if kind == "sup":
+        count = 2 * p if whole else p - zeros
+    elif kind == "slope":
+        sizes = np.unique(np.abs(pattern), return_counts=True)[1]
+        count = math.prod(math.factorial(int(c)) for c in sizes) * 2**zeros
+    else:
+        count = 2**zeros
+    if count + whole > cap:
+        raise GeneratorBlowup(f"the face of this {kind} pattern has {count + whole} generator rows (cap {cap})")
+    if kind == "sup":
+        units = np.vstack([np.eye(p), -np.eye(p)])  # generators() order
+        rows = units if whole else units[np.append(np.flatnonzero(pattern > 0), p + np.flatnonzero(pattern < 0))]
+    elif kind == "slope":
+        rows = _slope_face_rows(spec.weight_array, pattern)
+    else:
+        rows = _sign_vectors(pattern)
+        if kind == "genlasso":
+            rows = rows @ spec.d
+    if whole:
+        rows = np.vstack([np.zeros((1, p)), rows])
+    return _dedup_rows(rows) if kind == "genlasso" else rows
 
 
 def enumerate_faces(spec: GaugeSpec) -> list:
@@ -539,23 +551,19 @@ def enumerate_faces(spec: GaugeSpec) -> list:
 def _faces_below(spec: GaugeSpec, deficiency: int):
     """Faces of B* of dimension below `deficiency` for the named kinds, read
     off their patterns (Schneider & Tardivel, JMLR 2022; Bogdan et al.,
-    arXiv 2203.12086).  Yields (dimension, vertex_rows); the rows are the
-    generators lying on the face, in the order of generators(spec).
+    arXiv 2203.12086).  Yields (dimension, vertex_rows), the rows built from
+    each listed pattern by _face_rows:
 
-    l1       -- sign vectors s with fewer than `deficiency` zeros: the cube
-                vertices agreeing with s on its support, dimension #zeros.
-    sup      -- signed subsets S without antipodal pairs, |S| <= deficiency:
-                the rows s_i e_i, dimension |S| - 1.
+    l1       -- sign vectors with fewer than `deficiency` zeros, dimension
+                #zeros;
+    sup      -- signed subsets S without antipodal pairs, |S| <= deficiency,
+                dimension |S| - 1;
     slope    -- signed ordered partitions with k > p - deficiency nonzero
-                clusters: the signed permutations of w giving the j-th
-                largest cluster the j-th block of weights with its signs
-                and the zero cluster the last block with free signs,
-                dimension p - k.
+                clusters, dimension p - k;
     genlasso -- covectors of the rows of D: a zero set Z, the span closure
                 of rows of rank below `deficiency`, and signs sigma on the
                 other rows such that D_Z a = 0, sigma_i d_i'a >= 1 is
-                feasible (one phase-1 LP each): the rows D'(sigma + z_Z),
-                z_Z in {-1, 1}^Z, deduplicated, dimension rank(D_Z).
+                feasible (one phase-1 LP each), dimension rank(D_Z).
 
     The faces are counted before any LP runs (closed forms; for genlasso
     the bound sum_Z 2^(m - |Z|) on the covector LPs), and GeneratorBlowup
@@ -587,22 +595,24 @@ def _faces_below(spec: GaugeSpec, deficiency: int):
             for free in itertools.combinations(range(p), zeros):
                 support = [j for j in range(p) if j not in free]
                 for signs in itertools.product((-1.0, 1.0), repeat=p - zeros):
-                    yield zeros, _sign_vectors(p, dict(zip(support, signs)))
+                    yield zeros, _face_rows(spec, _signed(p, support, signs))
     elif spec.kind == "sup":
-        units = np.vstack([np.eye(p), -np.eye(p)])  # generators() order
         for size in range(1, deficiency + 1):
-            for subset in itertools.combinations(range(2 * p), size):
+            for subset in itertools.combinations(range(2 * p), size):  # j >= p: -e_(j-p)
                 if len({j % p for j in subset}) == size:
-                    yield size - 1, units[list(subset)]
+                    signs = [1.0 if j < p else -1.0 for j in subset]
+                    yield size - 1, _face_rows(spec, _signed(p, [j % p for j in subset], signs))
     elif spec.kind == "slope":
-        w = spec.weight_array
         for k in range(p, p - deficiency, -1):
             for z in range(p - k + 1):
                 for zero in itertools.combinations(range(p), z):
                     rest = [j for j in range(p) if j not in zero]
                     for blocks in _ordered_partitions(rest, k):
+                        ranks = np.zeros(p)
+                        for i, block in enumerate(blocks):  # the first block ranks highest
+                            ranks[list(block)] = k - i
                         for signs in itertools.product((-1.0, 1.0), repeat=p - z):
-                            yield p - k, _slope_face_rows(w, blocks, zero, dict(zip(rest, signs)))
+                            yield p - k, _face_rows(spec, ranks * _signed(p, rest, signs))
     else:
         d = spec.d
         m = d.shape[0]
@@ -611,17 +621,20 @@ def _faces_below(spec: GaugeSpec, deficiency: int):
             for sigma in itertools.product((-1.0, 1.0), repeat=len(rest)):
                 if rest and not _is_covector(d, zero, rest, np.array(sigma)):
                     continue
-                rows = _sign_vectors(m, dict(zip(rest, sigma))) @ d
-                if not rest:  # the face is B* itself, which holds u_1 = 0
-                    rows = np.vstack([np.zeros((1, spec.p)), rows])
-                yield r, _dedup_rows(rows)
+                yield r, _face_rows(spec, _signed(m, rest, sigma))
 
 
-def _sign_vectors(m: int, fixed: dict) -> np.ndarray:
-    """The vectors of {-1, 1}^m agreeing with `fixed` on its keys, in the
-    product order that generators() uses."""
-    choices = [(fixed[i],) if i in fixed else (-1.0, 1.0) for i in range(m)]
-    return np.array(list(itertools.product(*choices)))
+def _signed(n: int, idx, values) -> np.ndarray:
+    """The vector of length n with `values` at `idx` and 0.0 elsewhere."""
+    out = np.zeros(n)
+    out[list(idx)] = values
+    return out
+
+
+def _sign_vectors(pattern: np.ndarray) -> np.ndarray:
+    """The vectors of {-1, 1}^m agreeing with a sign pattern on its support,
+    in the product order that generators() uses."""
+    return np.array(list(itertools.product(*[(v,) if v else (-1.0, 1.0) for v in pattern.tolist()])))
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -641,28 +654,29 @@ def _ordered_partitions(items: list, k: int):
                 yield (first,) + tail
 
 
-def _slope_face_rows(w: np.ndarray, blocks: tuple, zero: tuple, sign: dict) -> np.ndarray:
-    """Signed permutations of w on the face of a signed ordered partition:
-    block j takes the j-th run of weights in any order, the zero cluster the
-    last run with any signs; rows sorted into generators() order, which is
-    lexicographic in (weight index per position, sign bit per position)."""
-    p = w.size
-    runs = []
-    start = 0
-    for block in blocks + (zero,):
-        runs.append([(block, perm) for perm in itertools.permutations(range(start, start + len(block)))])
-        start += len(block)
-    keys = []
+def _slope_face_rows(w: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Signed permutations of w on the face of a signed-rank pattern: the
+    cluster of the j-th largest rank takes the j-th run of weights in any
+    order and the pattern's signs, the zero cluster the last run with any
+    signs; rows sorted into generators() order, which is lexicographic in
+    (weight index per position, sign bit per position)."""
+    a = np.abs(pattern)
+    blocks = [np.flatnonzero(a == r).tolist() for r in range(int(a.max(initial=0)), -1, -1)]
+    zero = blocks[-1]
+    starts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
+    runs = [[(block, perm) for perm in itertools.permutations(range(start, start + len(block)))]
+            for block, start in zip(blocks, starts)]
+    orders = []
     for assignment in itertools.product(*runs):
-        order = [0] * p
+        order = [0] * w.size
         for block, perm in assignment:
             for j, l in zip(block, perm):
                 order[j] = l
-        for zero_signs in itertools.product((False, True), repeat=len(zero)):
-            positive = {j: s > 0 for j, s in sign.items()} | dict(zip(zero, zero_signs))
-            keys.append((tuple(order), tuple(positive[j] for j in range(p))))
-    keys.sort()
-    return np.array([w[list(order)] * np.where(positive, 1.0, -1.0) for order, positive in keys])
+        orders.append(order)
+    orders.sort()
+    signs = np.where(pattern > 0, 1.0, -1.0) * np.ones((2 ** len(zero), 1))
+    signs[:, zero] = list(itertools.product((-1.0, 1.0), repeat=len(zero)))
+    return (w[np.array(orders)][:, None, :] * signs).reshape(-1, w.size)
 
 
 def _flats_below(d: np.ndarray, deficiency: int) -> list:
@@ -724,26 +738,35 @@ def _exposure_margin(u: np.ndarray, in_set, out_set) -> float:
 
 def subdiff_includes(spec: GaugeSpec, b_inner, b_outer, rel_tol: float = 0.0) -> bool:
     """Whether the subdifferential at b_inner is contained in the one at
-    b_outer (vertex inclusion of active sets).
+    b_outer, decided on their patterns r (inner) and r' (outer), snapped as
+    in active_set at max(rel_tol, 1e-12) * max(1, pen); the 1e-12 floor
+    keeps round-off from splitting a tie or a zero.  The face order:
 
-    Exact closed forms for l1/sup; materialized index inclusion otherwise
-    (rel_tol then acts on the active-set rule, floored at 1e-12).
+    l1, genlasso -- r' != 0 implies r = r';
+    sup          -- true if r' = 0, else false if r = 0, else r != 0
+                    implies r' = r;
+    slope        -- r_i = 0 implies r'_i = 0, r'_i != 0 implies equal signs,
+                    |r_i| <= |r_j| implies |r'_i| <= |r'_j|;
+    custom       -- the active rows of r are active in r' (mask inclusion).
+
+    Raises ValueError unless both vectors have length p.
     """
-    b1 = as_vector(b_inner)
-    b2 = as_vector(b_outer)
-    if spec.kind == "l1":
-        # inclusion iff supp(b2) subset of supp(b1) with matching signs
-        s1, s2 = np.sign(b1), np.sign(b2)
-        return bool(np.all((s2 == 0) | (s2 == s1)))
+    b1, b2 = as_vector(b_inner), as_vector(b_outer)
+    if b1.size != spec.p or b2.size != spec.p:
+        raise ValueError(f"subdiff_includes got vectors of lengths {b1.size} and {b2.size}, expected p = {spec.p}")
+    rel = max(rel_tol, 1e-12)
+    r1, r2 = _snap(spec, b1, rel)[1], _snap(spec, b2, rel)[1]
+    if spec.kind == "custom":
+        return bool(np.all(r2[r1]))
     if spec.kind == "sup":
-        if np.max(np.abs(b2), initial=0.0) == 0.0:
+        if not r2.any():
             return True
-        if np.max(np.abs(b1), initial=0.0) == 0.0:
-            return False
-        p1 = named_pattern("sup", b1).as_array()
-        p2 = named_pattern("sup", b2).as_array()
-        return bool(np.all((p1 == 0) | (p1 == p2)))
-    tol = max(rel_tol, 1e-12)
-    i1 = set(active_indices(spec, b1, rel_tol=tol))
-    i2 = set(active_indices(spec, b2, rel_tol=tol))
-    return i1.issubset(i2)
+        return bool(r1.any() and np.all((r1 == 0) | (r1 == r2)))
+    if spec.kind == "slope":
+        a1, a2 = np.abs(r1), np.abs(r2)
+        return bool(
+            np.all((a1 > 0) | (a2 == 0))
+            and np.all((r2 == 0) | (np.sign(r1) == np.sign(r2)))
+            and np.all((a1[:, None] > a1) | (a2[:, None] <= a2))
+        )
+    return bool(np.all((r2 == 0) | (r2 == r1)))

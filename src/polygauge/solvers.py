@@ -51,12 +51,13 @@ import numpy as np
 from .gauge import (
     GaugeSpec,
     PatternFingerprint,
+    _basis,
     _dual_gauge,
+    _face_point,
+    _pattern,
     _pen,
-    _snapped,
     active_set,
     dual_feasibility,
-    pattern_subspace,
     pen_eval,
 )
 from .numerics import as_matrix, as_vector, rank
@@ -356,9 +357,10 @@ class _Polisher:
     """The polish step of one solve.
 
     At each KKT check that fails, ``attempt`` snaps the iterate with
-    active_set's rule at opts.pattern_rel_tol.  When the snapped pattern
-    equals the one at the previous check and has not been tried yet, it
-    solves for the minimizer with that pattern (``_polish``) and returns
+    active_set's rule at opts.pattern_rel_tol (``gauge._pattern``).  When
+    the snapped pattern equals the one at the previous check and has not
+    been tried yet, it solves for the minimizer on that pattern's subspace
+    and face (``_polish``) and returns
     (beta, objective, KKT residual, g) if the loop's KKT test holds there
     within opts.tol, else None.  Each pattern is tried once.
     """
@@ -372,14 +374,13 @@ class _Polisher:
         self.accepted = False
 
     def attempt(self, beta, pen_b):
-        pattern = self._pattern(beta, pen_b)
+        pattern = _pattern(self.spec, beta, self.opts.pattern_rel_tol * max(1.0, pen_b))
         key = pattern.tobytes()
         prev, self.prev = self.prev, key
         if key != prev or key in self.tried:
             return None
         self.tried.add(key)
-        b = _polish(self.spec, self.x, self.y, self.lam, beta, self.opts.pattern_rel_tol,
-                    _face_point(self.spec, pattern, self.w))
+        b = _polish(self.x, self.y, self.lam, _basis(self.spec, pattern).vectors, _face_point(self.spec, pattern))
         if b is None:
             return None
         kind, resid = self.spec.kind, self.y - self.x @ b
@@ -393,45 +394,13 @@ class _Polisher:
         self.accepted = True
         return b, 0.5 * float(resid @ resid) + self.lam * pen, kkt, g
 
-    def _pattern(self, b, pen_b):
-        """active_set's snapped pattern of b at pattern_rel_tol, as an array:
-        the named pattern (l1, sup, slope), the snapped signs of D b
-        (genlasso) or the active-row mask of U b (custom)."""
-        tol = self.opts.pattern_rel_tol * max(1.0, pen_b)
-        kind = self.spec.kind
-        if kind == "custom":
-            return self.image @ b >= pen_b - tol
-        if kind == "genlasso":
-            return _snapped("l1", self.image @ b, tol)
-        return _snapped(kind, b, tol)
 
-
-def _face_point(spec, pattern, w):
-    """A point s of the face of B* named by a snapped pattern; on that
-    pattern's subspace B, pen(B theta) = s'B theta."""
-    kind = spec.kind
-    if kind == "l1":
-        return pattern
-    if kind == "genlasso":
-        return spec.d.T @ pattern  # D_A' sign(D b)_A over the active rows
-    if kind == "custom":
-        return spec.u[int(np.argmax(pattern))]  # one active generator row
-    s = np.zeros(spec.p)
-    if kind == "sup":
-        j = int(np.argmax(np.abs(pattern)))  # sigma_j e_j, j maximal
-        s[j] = pattern[j]
-        return s
-    s[np.argsort(-np.abs(pattern), kind="stable")] = w  # weights in rank order
-    return np.sign(pattern) * s
-
-
-def _polish(spec, x, y, lam, beta, rel_tol, s):
-    """The minimizer over the pattern subspace B of beta (snapped at
-    rel_tol), with s a point of its face: on that subspace the objective is
-    0.5 ||y - X B theta||^2 + lam s'B theta, so
+def _polish(x, y, lam, basis, s):
+    """The minimizer over a pattern subspace with orthonormal basis B (the
+    columns of `basis`), with s a point of its face: on that subspace the
+    objective is 0.5 ||y - X B theta||^2 + lam s'B theta, so
     beta = B (B'X'X B)^-1 (B'X'y - lam B's).  None when B'X'X B is
     singular or the solve is not finite."""
-    basis = pattern_subspace(spec, beta, rel_tol).vectors
     xb = x @ basis
     try:
         theta = np.linalg.solve(xb.T @ xb, xb.T @ y - lam * (basis.T @ s))

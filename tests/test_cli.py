@@ -1,3 +1,4 @@
+import ast
 import json
 
 import numpy as np
@@ -82,6 +83,56 @@ def test_cli_check_nrc_sup(sup_case_files, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] and payload["method"] == "analytic-sup"
+
+
+def test_cli_path_tv25(tmp_path, capsys):
+    # 2^24 generators: the generator route of active_set made this exit 2
+    beta = np.repeat([0.0, 1.5, 0.5], [8, 9, 8])
+    write_matrix(tmp_path / "x.csv", np.eye(25))
+    write_vector(tmp_path / "y.csv", beta)
+    rc = main(
+        [
+            "path", "--penalty", "tv", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+            "--lam-min", "0.05", "--lam-max", "20", "--grid", "8", "--refine-tol", "1e-2",
+        ]
+    )
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    fingerprints = [seg["fingerprint"] for seg in payload["segments"]]
+    assert fingerprints[0]["pattern"] == [int(v) for v in np.sign(np.diff(beta))]
+    assert fingerprints[-1]["pattern"] == [0] * 24
+
+
+def test_cli_check_nrc_tv30_falls_back_to_the_path(tmp_path, capsys):
+    # the face of beta has 2^27 generator rows, over the geometric LP's cap
+    write_matrix(tmp_path / "x.csv", np.eye(30))
+    write_vector(tmp_path / "beta.csv", np.repeat([1.0, 2.0, 3.5], 10))
+    rc = main(
+        [
+            "check-nrc", "--penalty", "tv", "--method", "geometric",
+            "--x", str(tmp_path / "x.csv"), "--beta", str(tmp_path / "beta.csv"),
+        ]
+    )
+    assert rc in (0, 4)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "path-empirical"
+    assert rc == (0 if payload["verdict"] else 4)
+
+
+def test_cli_fingerprint_keys(tmp_path, capsys):
+    x = np.random.default_rng(5).standard_normal((6, 4))
+    write_matrix(tmp_path / "x.csv", x)
+    write_vector(tmp_path / "y.csv", x @ np.array([1.0, 1.0, -1.0, -1.0]))
+    write_matrix(tmp_path / "u.csv", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, -1.0, -1.0, -1.0]])
+    base = ["solve", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"), "--lam", "0.5"]
+    assert main(base + ["--penalty", "tv"]) == 0
+    fp = json.loads(capsys.readouterr().out)["fingerprint"]
+    assert fp["key"] == ["genlasso", str(tuple(fp["pattern"]))]
+    assert fp["pattern_variant"] == "tv_sign" and "active_generators" not in fp
+    assert main(base + ["--penalty", "custom", "--u", str(tmp_path / "u.csv")]) in (0, 3)
+    fp = json.loads(capsys.readouterr().out)["fingerprint"]
+    assert fp["key"][0] == "custom" and "pattern" not in fp
+    assert fp["active_generators"] == [i for i, v in enumerate(ast.literal_eval(fp["key"][1])) if v]
 
 
 def test_cli_check_unique_nonunique_exit_code(tmp_path, capsys):

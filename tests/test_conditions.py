@@ -12,6 +12,8 @@ from polygauge import (
     check_nrc_path,
     check_nrc_sup,
     check_uniform_uniqueness,
+    complexity,
+    dual_feasibility,
     generators,
     min_linf_representation,
     pen_eval,
@@ -20,7 +22,8 @@ from polygauge import (
 )
 from polygauge import conditions, linprog
 from polygauge.experiments import replication_rng
-from polygauge.gauge import GeneratorBlowup
+from polygauge.gauge import GeneratorBlowup, _face_rows
+from polygauge.numerics import rank
 from test_acceptance import STRONG_SIGNAL_X
 
 
@@ -214,6 +217,50 @@ def test_nrc_geometric_l1_large_faces_agree_with_lasso():
             assert alpha.min() >= -1e-9 and abs(alpha.sum() - 1.0) <= 1e-9
             image = x.T @ (x @ rep.certificate["witness_point"])
             assert np.max(np.abs(image - rep.certificate["witness_subgradient"])) <= 1e-8
+
+
+def test_nrc_geometric_reads_span_and_face_from_one_pattern():
+    # (1, 6e-9, 6e-9) snaps to the pattern (1, 0, 0).  A basis from that
+    # pattern paired with the generator rule's face (the vertex (1, 1, 1))
+    # gave a false negative; both now come from the snapped pattern
+    spec, x = GaugeSpec.l1(3), np.eye(3)
+    beta = np.array([1.0, 6e-9, 6e-9])
+    near = check_nrc_geometric(spec, x, beta)
+    snapped = check_nrc_geometric(spec, x, [1.0, 0.0, 0.0])
+    assert near.verdict and check_nrc_lasso(x, beta).verdict
+    assert near.certificate["pattern"] == list(active_set(spec, beta).key[1]) == [1, 0, 0]
+    assert near.margin == snapped.margin
+    for key in ("witness_point", "witness_alpha", "witness_subgradient"):
+        assert np.array_equal(near.certificate[key], snapped.certificate[key])
+    rows = _face_rows(spec, np.array(near.certificate["pattern"], dtype=float))
+    assert complexity(spec, beta) == spec.p - rank(rows[1:] - rows[0]) == 1
+
+
+def test_nrc_geometric_slope8_without_expansion():
+    # 8! 2^8 signed permutations; the face of beta has 3! 2^3 = 48 of them
+    spec = GaugeSpec.slope(np.arange(8.0, 0.0, -1.0))
+    beta = np.array([3.0, -2.5, 2.0, 0.0, 1.0, 0.0, -0.5, 0.0])
+    rng = np.random.default_rng(0)
+    verdicts = []
+    for x in [np.eye(8)] + [rng.standard_normal((10, 8)) for _ in range(4)]:
+        rep = check_nrc_geometric(spec, x, beta)
+        verdicts.append(rep.verdict)
+        assert rep.certificate["pattern"] == list(active_set(spec, beta).key[1])
+        if rep.verdict:
+            w, s = rep.certificate["witness_point"], rep.certificate["witness_subgradient"]
+            assert np.max(np.abs(x.T @ (x @ w) - s)) <= 1e-8
+            assert abs(float(s @ beta) - pen_eval(spec, beta)) <= 1e-9
+            assert dual_feasibility(spec, s) <= 1e-9
+    assert verdicts == [True, True, False, True, False]
+
+
+def test_nrc_path_tv30():
+    # 2^29 generators: the generator route of active_set raised here
+    beta = np.repeat([1.0, 2.0, 3.5], 10)
+    rep = check_nrc_path(GaugeSpec.tv(30), np.eye(30), beta, grid_size=20)
+    assert rep.verdict and rep.certificate["lambda_found"] is not None
+    with pytest.raises(GeneratorBlowup):  # its face has 2^27 generator rows
+        check_nrc_geometric(GaugeSpec.tv(30), np.eye(30), beta)
 
 
 def test_nrc_implies_accessibility_on_random_instances():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,10 @@ from polygauge import (
     tf_matrix,
     tv_matrix,
 )
+from polygauge import check_nrc_geometric, solution_path, solve, verify_thresholded
+from polygauge import gauge
 from polygauge.conditions import check_uniform_uniqueness
-from polygauge.gauge import _faces_below, _signed_ranks, round_sig
+from polygauge.gauge import _face_rows, _faces_below, _pattern, _signed_ranks, round_sig
 
 ALL_SMALL_SPECS = [
     GaugeSpec.l1(3),
@@ -29,6 +33,11 @@ ALL_SMALL_SPECS = [
     GaugeSpec.tv(3),
     GaugeSpec.tf(4),
 ]
+
+
+CRITERION3_D = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]])
+# a repeated and a zero row: the zero sets are never empty
+DEGENERATE_D = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
 
 
 def _rows_as_set(u):
@@ -247,7 +256,7 @@ def test_fingerprint_scale_invariance():
 
 def test_fingerprint_equality_matches_active_indices():
     rng = np.random.default_rng(5)
-    for spec in ALL_SMALL_SPECS:
+    for spec in ALL_SMALL_SPECS + [GaugeSpec.genlasso(CRITERION3_D), GaugeSpec.genlasso(DEGENERATE_D)]:
         probes = [rng.standard_normal(spec.p) for _ in range(25)]
         probes += [np.round(rng.standard_normal(spec.p) * 2) / 2 for _ in range(25)]
         for a in probes[:20]:
@@ -434,8 +443,6 @@ def test_enumerate_faces_cap():
 # ---------------------------------------------------------------------------
 # faces listed from patterns, against the exposure-LP enumeration
 
-CRITERION3_D = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]])
-
 ORACLE_SPECS = {
     "l1-2": GaugeSpec.l1(2),
     "l1-3": GaugeSpec.l1(3),
@@ -446,8 +453,7 @@ ORACLE_SPECS = {
     "tv-3": GaugeSpec.tv(3),
     "tv-4": GaugeSpec.tv(4),
     "criterion3": GaugeSpec.genlasso(CRITERION3_D),
-    # a repeated and a zero row: the zero sets are never empty
-    "genlasso-degenerate": GaugeSpec.genlasso([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]]),
+    "genlasso-degenerate": GaugeSpec.genlasso(DEGENERATE_D),
     "slope-2": GaugeSpec.slope([2.0, 1.0]),
 }
 
@@ -543,11 +549,124 @@ def test_subdiff_includes_sup():
     assert subdiff_includes(spec, [2.0, 1.0, 0.0], [0.0, 0.0, 0.0])
 
 
+SUBDIFF_SPECS = [
+    GaugeSpec.l1(3),
+    GaugeSpec.sup(3),
+    GaugeSpec.slope([3.0, 2.0, 1.0]),
+    GaugeSpec.slope([4.0, 3.0, 2.0, 1.0]),
+    GaugeSpec.tv(4),
+    GaugeSpec.tf(5),
+    GaugeSpec.genlasso(CRITERION3_D),
+    GaugeSpec.genlasso(DEGENERATE_D),
+]
+
+
 def test_subdiff_includes_materialized_matches_closed_form():
+    # the pattern order rules against mask inclusion over the same rows
     rng = np.random.default_rng(13)
-    named = GaugeSpec.l1(3)
-    mat = GaugeSpec.custom(generators(named))
-    for _ in range(50):
-        a = np.round(rng.standard_normal(3) * 2) / 2
-        b = np.round(rng.standard_normal(3) * 2) / 2
-        assert subdiff_includes(named, a, b) == subdiff_includes(mat, a, b)
+    lattice = np.array([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0])
+    for named in SUBDIFF_SPECS:
+        mat = GaugeSpec.custom(generators(named))
+        outcomes = set()
+        for _ in range(150):
+            a, b = rng.choice(lattice, size=named.p), rng.choice(lattice, size=named.p)
+            if rng.random() < 0.3:  # b a coarsening of a: merge or zero some entries
+                b = np.where(rng.random(named.p) < 0.5, np.round(a), a)
+            verdict = subdiff_includes(named, a, b)
+            assert verdict == subdiff_includes(mat, a, b), (named.kind, a, b)
+            outcomes.add(verdict)
+        assert outcomes == {True, False}
+
+
+def test_subdiff_includes_rejects_wrong_lengths():
+    with pytest.raises(ValueError, match="1 and 3.*p = 3"):
+        subdiff_includes(GaugeSpec.l1(3), [1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="3 and 2.*p = 3"):
+        subdiff_includes(GaugeSpec.sup(3), [1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+def test_subdiff_includes_slope8_without_expansion():
+    # 8! 2^8 signed permutations: generators() refuses this gauge
+    spec = GaugeSpec.slope(np.arange(8.0, 0.0, -1.0))
+    inner = np.array([3.0, -2.5, 2.0, 0.0, 1.0, 0.0, -0.5, 0.0])
+    outer = np.array([3.0, -3.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0])  # two clusters merged, one zeroed
+    assert subdiff_includes(spec, inner, outer)
+    assert not subdiff_includes(spec, outer, inner)
+    assert not subdiff_includes(spec, inner, -outer)
+    assert not subdiff_includes(spec, inner, outer[::-1])
+
+
+# ---------------------------------------------------------------------------
+# one pattern -> face map
+
+
+FACE_ROW_SPECS = {f"{s.d_name or s.kind}-{s.p}": s for s in ALL_SMALL_SPECS} | ORACLE_SPECS
+
+
+@pytest.mark.parametrize("name", list(FACE_ROW_SPECS))
+def test_face_rows_match_the_materialized_active_rows(name):
+    spec = FACE_ROW_SPECS[name]
+    rng = np.random.default_rng(41)
+    u = generators(spec)
+    lattice = np.array([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0])
+    for b in [np.zeros(spec.p)] + [rng.choice(lattice, size=spec.p) for _ in range(60)]:
+        rows = _face_rows(spec, _pattern(spec, b, 1e-8 * max(1.0, pen_eval(spec, b))))
+        expected = u[list(active_indices(spec, b))]
+        if spec.kind == "genlasso":  # D' applied to fewer sign vectors: BLAS may round apart
+            assert rows.shape == expected.shape and np.max(np.abs(rows - expected), initial=0.0) <= 1e-15
+        else:
+            assert rows.tobytes() == expected.tobytes()
+
+
+def test_active_set_tv30_is_the_tv_pattern():
+    # 2^29 generators: the generator route raised GeneratorBlowup here
+    beta = np.repeat([1.0, 2.5, -0.5], 10)
+    fp = active_set(GaugeSpec.tv(30), beta)
+    assert fp.named == named_pattern("tv", beta)
+    assert fp.key == ("genlasso", named_pattern("tv", beta).values)
+    assert fp.active is None
+    assert complexity(GaugeSpec.tv(30), beta) == 3
+
+
+def _guard(monkeypatch, name):
+    """Make every binding of gauge.<name> raise for a non-custom gauge."""
+    orig = getattr(gauge, name)
+
+    def guarded(spec, *args, **kwargs):
+        if spec.kind != "custom":
+            raise AssertionError(f"{name} called for a {spec.kind} gauge")
+        return orig(spec, *args, **kwargs)
+
+    modules = [m for k, m in sys.modules.items() if k == "polygauge" or k.startswith("polygauge.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, attr, guarded)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GaugeSpec.l1(4), GaugeSpec.sup(4), GaugeSpec.slope([4.0, 3.0, 2.0, 1.0]), GaugeSpec.tv(5)],
+    ids=lambda s: s.kind,
+)
+def test_named_kinds_never_expand_generators(monkeypatch, spec):
+    _guard(monkeypatch, "generators")
+    _guard(monkeypatch, "active_indices")
+    with pytest.raises(AssertionError):
+        gauge.generators(GaugeSpec.l1(2))  # the guard is live
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((3, spec.p))
+    beta = np.array([1.0, -1.0, 0.0, 2.0, 2.0])[: spec.p]
+    y = x @ beta
+    fp = active_set(spec, beta)
+    assert complexity(spec, beta) == pattern_subspace(spec, beta).dim
+    check_nrc_geometric(spec, x, beta)
+    check_uniform_uniqueness(spec, x)
+    subdiff_includes(spec, beta, 2.0 * beta)
+    if spec.kind in ("l1", "sup"):
+        verify_thresholded(spec, beta, beta, 0.1)
+    res = solve(spec, x, y, 0.1)
+    assert res.converged
+    active_set(spec, res.beta)
+    path = solution_path(spec, x, y, 0.05, 5.0, grid_size=5)
+    assert len(path.fingerprints) == 5 and fp.key[0] == spec.kind

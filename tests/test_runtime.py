@@ -13,7 +13,7 @@ SCRIPT = """
 import sys
 import numpy as np
 from polygauge import (
-    ExperimentConfig, GaugeSpec, check_accessibility, check_nrc_geometric, check_uniform_uniqueness,
+    ExperimentConfig, GaugeSpec, active_set, check_accessibility, check_nrc_geometric, check_uniform_uniqueness,
     min_linf_representation, run_accessibility_sweep, run_recovery_experiment, solve, verify_thresholded,
     zero_threshold,
 )
@@ -33,6 +33,9 @@ rng = np.random.default_rng(0)
 beta = np.zeros(10)
 beta[:2] = [1.0, -0.5]
 check_nrc_geometric(GaugeSpec.l1(10), rng.standard_normal((6, 10)), beta)
+tv30 = np.repeat([1.0, 2.5, -0.5], 10)
+assert active_set(GaugeSpec.tv(30), tv30).key == ("genlasso", (0,) * 9 + (1,) + (0,) * 9 + (-1,) + (0,) * 9)
+assert check_nrc_geometric(slope8, np.eye(8), np.array([3.0, -2.5, 2.0, 0.0, 1.0, 0.0, -0.5, 0.0])).verdict
 slope = GaugeSpec.slope(np.arange(12.0, 0.0, -1.0))
 check_accessibility(slope, rng.standard_normal((6, 12)), np.arange(12.0))
 assert check_uniform_uniqueness(GaugeSpec.sup(6), np.array(CRITERION7_X)).verdict

@@ -12,7 +12,6 @@ from polygauge import (
     generators,
     kkt_residual,
     named_pattern,
-    pattern_subspace,
     pen_eval,
     prox_l1,
     prox_linf,
@@ -25,7 +24,8 @@ from polygauge import (
     zero_threshold,
 )
 from polygauge import experiments, linprog, solvers
-from polygauge.solvers import _Polisher, _face_point, _polish, _prox_for, _spectral_norm_sq
+from polygauge.gauge import _basis, _face_point, _pattern
+from polygauge.solvers import _Polisher, _polish, _prox_for, _spectral_norm_sq
 from test_acceptance import STRONG_SIGNAL_BETA, STRONG_SIGNAL_EPS, STRONG_SIGNAL_X
 
 
@@ -388,10 +388,8 @@ def test_polish_agrees_with_long_unpolished_run(kind):
         assert res.converged
         assert res.polished or kind in ("tv", "custom")
         assert np.max(np.abs(res.beta - ref)) <= 1e-6
-        polisher = _Polisher(spec, x, y, lam, opts)
-        pattern = polisher._pattern(res.beta, pen_eval(spec, res.beta))
-        b = _polish(spec, x, y, lam, res.beta, opts.pattern_rel_tol,
-                    _face_point(spec, pattern, polisher.w))
+        pattern = _pattern(spec, res.beta, opts.pattern_rel_tol * max(1.0, pen_eval(spec, res.beta)))
+        b = _polish(x, y, lam, _basis(spec, pattern).vectors, _face_point(spec, pattern))
         assert np.max(np.abs(b - ref)) <= 1e-6
         assert kkt_residual(spec, x, y, lam, b)[0] <= opts.tol
 
@@ -422,9 +420,9 @@ def test_polish_falls_back_on_singular_reduced_gram(monkeypatch):
     spec = GaugeSpec.l1(10)
     attempts = []
 
-    def recording(spec, x, y, lam, b, rel_tol, s):
-        out = _polish(spec, x, y, lam, b, rel_tol, s)
-        xb = x @ pattern_subspace(spec, b, rel_tol).vectors
+    def recording(x, y, lam, basis, s):
+        out = _polish(x, y, lam, basis, s)
+        xb = x @ basis
         attempts.append((np.linalg.matrix_rank(xb.T @ xb) < xb.shape[1], out))
         return out
 
@@ -456,8 +454,8 @@ def test_polish_rejects_a_pattern_whose_solve_flips_a_sign():
     assert polisher.attempt(wrong, pen_eval(spec, wrong)) is None
     assert polisher.attempt(wrong, pen_eval(spec, wrong)) is None
     assert len(polisher.tried) == 1 and not polisher.accepted
-    pattern = polisher._pattern(wrong, pen_eval(spec, wrong))
-    flipped = _polish(spec, x, y, 1.0, wrong, opts.pattern_rel_tol, _face_point(spec, pattern, None))
+    pattern = _pattern(spec, wrong, opts.pattern_rel_tol * max(1.0, pen_eval(spec, wrong)))
+    flipped = _polish(x, y, 1.0, _basis(spec, pattern).vectors, _face_point(spec, pattern))
     assert flipped.tolist() == [2.0, 1.5]
     res = solve(spec, x, y, 1.0, opts, start=wrong)
     assert res.converged and res.beta.tolist() == [2.0, 0.0]
