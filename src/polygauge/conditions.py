@@ -17,11 +17,13 @@ from .gauge import (
     GaugeSpec,
     GeneratorBlowup,
     active_set,
+    _ball,
     _basis,
     _dual_gauge,
     _face_rows,
     _faces_below,
     _snap,
+    _sup_ball,
     enumerate_faces,
     pen_eval,
 )
@@ -34,7 +36,7 @@ class InfeasibleTarget(ValueError):
 
 
 # Separation cutoff of the ray that certifies target outside col(X) in
-# _min_max_lp (its docstring states the test).
+# _fiber_lp (its docstring states the test).
 RAY_RTOL = 1e-9
 
 
@@ -44,6 +46,9 @@ class ConditionReport:
 
     Margin conventions:
       accessibility-lp : lp_value - pen(beta); accessible iff >= -1e-7.
+                         "mu" solves max (X beta)'mu s.t. X'mu in B*, and
+                         "dual_point" X'mu is in B* with beta'X'mu = pen(beta)
+                         when accessible; else (X beta)'mu = lp_value < pen.
       geometric-lp     : minus the phase-1 infeasibility of the
                          intersection LP; the condition holds iff that LP
                          is feasible, phase-1 <= linprog.PHASE1_RTOL *
@@ -103,16 +108,19 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
     """Accessibility of the pattern of beta: the gauge attains its minimum
     over the fiber {b : Xb = X beta} at beta itself.
 
-    Solved as the epigraph LP min pen(b) s.t. Xb = X beta, with the
-    closed-form encoding per kind (no generator expansion for l1/sup/
-    genlasso/slope).  Sup and custom gauges pose it as the dual of their
-    min-max LP (_min_max_lp).  Slope uses the Birkhoff dual of the
-    sorted-l1 norm, 4p variables and p^2 + 2p rows at any p.
+    One LP for every kind, the dual fiber LP of _fiber_lp over the ball
+    gauge._ball: max (X beta)'mu s.t. X'mu in B*.  Its value is the fiber
+    minimum, and beta is accessible exactly when row(X) meets the
+    subdifferential of beta, which X'mu then does.  The certificate holds
+    the minimizer, mu and the dual point X'mu.  Custom gauges with more than
+    4096 generators raise GeneratorBlowup.
     """
     x = as_matrix(x)
     beta = as_vector(beta)
     pen_beta = pen_eval(spec, beta)
-    value, witness = _fiber_min_lp(spec, x, x @ beta)
+    if spec.kind == "custom" and spec.u.shape[0] > 4096:
+        raise GeneratorBlowup("custom accessibility LP capped at 4096 generators")
+    value, witness, mu = _fiber_lp(x, x @ beta, _ball(spec))
     margin = value - pen_beta
     return ConditionReport(
         verdict=margin >= -1e-7,
@@ -122,69 +130,9 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
             "lp_value": value,
             "pen_beta": pen_beta,
             "minimizer": witness,
+            "mu": mu,
+            "dual_point": x.T @ mu,
         },
-    )
-
-
-def _fiber_min_lp(spec: GaugeSpec, x, target) -> tuple:
-    """(min pen(b) s.t. Xb = target, a minimizer b)."""
-    n, p = x.shape
-    if spec.kind == "sup":
-        return _min_max_lp(x, target, np.vstack([np.eye(p), -np.eye(p)]))
-    if spec.kind == "custom":
-        if spec.u.shape[0] > 4096:
-            raise GeneratorBlowup("custom accessibility LP capped at 4096 generators")
-        return _min_max_lp(x, target, spec.u)
-    if spec.kind == "slope":
-        sol = _slope_fiber_lp(spec, x, target)
-    else:
-        # vars [b, s]: min sum s, +-D b <= s (D = I for l1)
-        d = np.eye(p) if spec.kind == "l1" else spec.d
-        m = d.shape[0]
-        c = np.concatenate([np.zeros(p), np.ones(m)])
-        a_eq = np.hstack([x, np.zeros((n, m))])
-        a_le = np.vstack(
-            [
-                np.hstack([d, -np.eye(m)]),
-                np.hstack([-d, -np.eye(m)]),
-            ]
-        )
-        bounds = [(None, None)] * p + [(0.0, None)] * m
-        sol = linprog.lp_solve(
-            linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=np.zeros(2 * m), bounds=bounds)
-        )
-    if sol.status != linprog.OPTIMAL:
-        raise RuntimeError(f"accessibility LP returned status {sol.status}")
-    return float(sol.value), sol.x[:p].copy()
-
-
-def _slope_fiber_lp(spec: GaugeSpec, x, target) -> linprog.LpSolution:
-    """Sorted-l1 epigraph by Birkhoff duality: for a >= |b| and w decreasing
-    and positive, sum_k w_k a_(k) = max over doubly stochastic P of w'Pa
-    = min {1'r + 1't : r_i + t_k >= w_k a_i}; vars [b, a, r, t]."""
-    n, p = x.shape
-    w = np.asarray(spec.weights, dtype=float)
-    eye, zero = np.eye(p), np.zeros((p, p))
-    c = np.concatenate([np.zeros(2 * p), np.ones(2 * p)])
-    a_eq = np.hstack([x, np.zeros((n, 3 * p))])
-    a_le = np.vstack(
-        [
-            np.hstack([eye, -eye, zero, zero]),
-            np.hstack([-eye, -eye, zero, zero]),
-            # row k*p + i: w_k a_i - r_i - t_k <= 0
-            np.hstack(
-                [
-                    np.zeros((p * p, p)),
-                    np.kron(w[:, None], eye),
-                    -np.tile(eye, (p, 1)),
-                    -np.kron(eye, np.ones((p, 1))),
-                ]
-            ),
-        ]
-    )
-    bounds = [(None, None)] * p + [(0.0, None)] * p + [(None, None)] * (2 * p)
-    return linprog.lp_solve(
-        linprog.LpProblem(c, a_eq=a_eq, b_eq=target, a_le=a_le, b_le=np.zeros(p * p + 2 * p), bounds=bounds)
     )
 
 
@@ -394,43 +342,44 @@ def check_nrc_path(
 def min_linf_representation(x, target) -> float:
     """min ||gamma||_inf subject to X gamma = target.
 
-    One LP, posed as its dual by _min_max_lp: for an n x p design it has
-    p - n + 1 live rows when X has full row rank.  Raises InfeasibleTarget
-    when target is outside col(X).
+    One LP, the fiber LP of _fiber_lp over the sup-norm ball: for an n x p
+    design it has p - n + 1 live rows when X has full row rank.  Raises
+    InfeasibleTarget when target is outside col(X).
     """
     x = as_matrix(x)
-    p = x.shape[1]
-    return _min_max_lp(x, as_vector(target), np.vstack([np.eye(p), -np.eye(p)]))[0]
+    return _fiber_lp(x, as_vector(target), _sup_ball(x.shape[1]))[0]
 
 
-def _min_max_lp(x: np.ndarray, target: np.ndarray, rows: np.ndarray) -> tuple:
-    """(min t s.t. X gamma = target, rows gamma <= t, t >= 0, the minimizer
-    gamma), solved as the dual LP
+def _fiber_lp(x: np.ndarray, target: np.ndarray, ball: tuple) -> tuple:
+    """(min pen(b) s.t. Xb = target, a minimizer b, mu) for the gauge whose
+    dual ball is B* = {G'z : lo <= z <= hi, A z <= 1}, ball = (G, (lo, hi), A)
+    as gauge._ball states it, solved as the dual LP
 
-        max target'mu  s.t.  X'mu = rows'w,  1'w <= 1,  w >= 0   (mu free).
+        max target'mu  s.t.  X'mu = G'z,  lo <= z <= hi,  A z <= 1   (mu free).
 
-    rows holds +-I (the sup norm) or the generators of a custom gauge.  The
-    n free mu are eliminated into the p equality rows, which leaves p - n + 1
-    live rows when X has full row rank (21 instead of 160 for a 40 x 60
-    fig-5 design in the primal form).  gamma is minus the multiplier vector
-    of the X'mu = rows'w rows and t = target'mu.
+    The n free mu are eliminated into the p equality rows, which leaves
+    p - n + 1 live rows for the sup ball when X has full row rank (21
+    instead of 160 for a 40 x 60 fig-5 design in the primal form).  b is
+    minus the multiplier vector of the X'mu = G'z rows, and the value is
+    target'mu = pen(b).
 
-    The dual is always feasible (mu = 0, w = 0) and unbounded exactly when
+    The dual is always feasible (mu = 0, z = 0) and unbounded exactly when
     target is outside col(X), along a ray mu with X'mu = 0 and target'mu > 0.
     InfeasibleTarget is raised only when the ray, scaled to ||mu||_inf = 1,
     has ||X'mu||_inf <= RAY_RTOL * (1 + max|X|) and
     target'mu > RAY_RTOL * (1 + ||target||_inf); otherwise NumericalFailure.
     """
     n, p = x.shape
-    k = rows.shape[0]
+    g, bounds, a = ball
+    k = g.shape[0]
     sol = linprog.lp_solve(
         linprog.LpProblem(
             np.concatenate([-target, np.zeros(k)]),
-            a_eq=np.hstack([x.T, -rows.T]),
+            a_eq=np.hstack([x.T, -g.T]),
             b_eq=np.zeros(p),
-            a_le=np.concatenate([np.zeros(n), np.ones(k)])[None, :],
-            b_le=[1.0],
-            bounds=[(None, None)] * n + [(0.0, None)] * k,
+            a_le=np.hstack([np.zeros((a.shape[0], n)), a]),
+            b_le=np.ones(a.shape[0]),
+            bounds=[(None, None)] * n + [bounds] * k,
         )
     )
     if sol.status == linprog.UNBOUNDED:
@@ -441,10 +390,10 @@ def _min_max_lp(x: np.ndarray, target: np.ndarray, rows: np.ndarray) -> tuple:
             1.0 + np.max(np.abs(target), initial=0.0)
         ):
             raise InfeasibleTarget("target vector is outside the column space of X")
-        raise linprog.NumericalFailure("the unbounded ray of the representation LP does not separate target")
+        raise linprog.NumericalFailure("the unbounded ray of the fiber LP does not separate target")
     if sol.status != linprog.OPTIMAL:
-        raise RuntimeError(f"representation LP returned status {sol.status}")
-    return -float(sol.value), -sol.y_eq
+        raise RuntimeError(f"fiber LP returned status {sol.status}")
+    return -float(sol.value), -sol.y_eq, sol.x[:n].copy()
 
 
 def check_uniform_uniqueness(spec: GaugeSpec, x) -> ConditionReport:

@@ -26,6 +26,9 @@ it are all read from that array (``_basis``, ``_face_point``,
               face is D' applied to the cube face of the sign vector.
 * custom   -- the 0/1 mask of the active rows of U beta.
 
+For a D with dependent rows the zero rows of D beta are closed under span
+first, so the key is a covector.  ``_ball`` is the one LP statement of B*.
+
 Named patterns themselves use exact component equality; tolerances live in
 ``active_set`` only.  Callers feeding solver output into exact extractors
 should pre-round (``round_sig``) first.
@@ -230,36 +233,55 @@ def pen_eval(spec: GaugeSpec, b) -> float:
     return _pen(spec.kind, b if image is None else image @ b, spec.weights)
 
 
+def _ball(spec: GaugeSpec) -> tuple:
+    """B* as LP rows, (G, (lo, hi), A) with B* = {G'z : lo <= z <= hi, A z <= 1},
+    read by dual_feasibility and the fiber LP of conditions:
+
+    l1, genlasso -- G = I or D, the box -1 <= z <= 1, no rows of A;
+    sup, custom  -- G = [I; -I] or U, z >= 0, A = 1' (conv of the rows);
+    slope        -- G holds the rows w_k e_i, then -w_k e_i, z = (P+, P-) >= 0
+                    and A the p row and p column sums of P+ + P-, so
+                    G'z = (P+ - P-) w with P+ + P- doubly substochastic:
+                    exactly |s| weakly majorized by w."""
+    kind, p = spec.kind, spec.p
+    if kind == "sup":
+        return _sup_ball(p)
+    if kind == "custom":
+        return spec.u, (0.0, None), np.ones((1, spec.u.shape[0]))
+    if kind == "slope":
+        plus = np.kron(np.eye(p), spec.weight_array[:, None])  # row i*p + k: w_k e_i
+        sums = np.vstack([np.kron(np.eye(p), np.ones((1, p))), np.kron(np.ones((1, p)), np.eye(p))])
+        return np.vstack([plus, -plus]), (0.0, None), np.hstack([sums, sums])
+    g = np.eye(p) if kind == "l1" else spec.d
+    return g, (-1.0, 1.0), np.zeros((0, g.shape[0]))
+
+
+def _sup_ball(p: int) -> tuple:
+    """_ball of the sup norm in dimension p, built without a GaugeSpec."""
+    return np.vstack([np.eye(p), -np.eye(p)]), (0.0, None), np.ones((1, 2 * p))
+
+
 def dual_feasibility(spec: GaugeSpec, s) -> float:
     """Membership margin for s in B*: margin <= 0 iff s is a member.
 
     Closed forms for l1/sup/slope are signed; genlasso/custom return the
-    sup-norm distance to B* via an LP, positive outside.  Inside B* that
-    LP value is round-off, about 1e-16 rather than 0, so callers compare
-    it with a tolerance, never with <= 0.
+    sup-norm distance to B* via an LP over _ball, positive outside.  Inside
+    B* that LP value is round-off, about 1e-16 rather than 0, so callers
+    compare it with a tolerance, never with <= 0.
     """
     s = as_vector(s)
     if s.shape[0] != spec.p:
         raise ValueError("dimension mismatch")
     if spec.kind in ("l1", "sup", "slope"):
         return _dual_gauge(spec.kind, s, spec.weights) - 1.0
-    # vars (z, t): min t  s.t.  -t <= s - M'z <= t, with -1 <= z <= 1 for
-    # genlasso (M = D) and z in the unit simplex for custom (M = U; the zero
-    # row absorbs slack mass, so 1'z <= 1 with z >= 0 suffices)
-    mt = (spec.d if spec.kind == "genlasso" else spec.u).T
-    m = mt.shape[1]
+    # vars (z, t): min t  s.t.  -t <= s - G'z <= t, z in the ball's bounds, A z <= 1
+    g, bounds, a = _ball(spec)
+    m, ones = g.shape[0], np.ones((spec.p, 1))
+    a_le = np.vstack([np.hstack([g.T, -ones]), np.hstack([-g.T, -ones]), np.hstack([a, np.zeros((a.shape[0], 1))])])
+    b_le = np.concatenate([s, -s, np.ones(a.shape[0])])
     c = np.zeros(m + 1)
     c[-1] = 1.0
-    ones = np.ones((spec.p, 1))
-    a_le = np.vstack([np.hstack([mt, -ones]), np.hstack([-mt, -ones])])
-    b_le = np.concatenate([s, -s])
-    if spec.kind == "genlasso":
-        bounds = [(-1.0, 1.0)] * m + [(0.0, None)]
-    else:
-        a_le = np.vstack([a_le, np.append(np.ones(m), 0.0)])
-        b_le = np.append(b_le, 1.0)
-        bounds = [(0.0, None)] * (m + 1)
-    sol = linprog.lp_solve(linprog.LpProblem(c, a_le=a_le, b_le=b_le, bounds=bounds))
+    sol = linprog.lp_solve(linprog.LpProblem(c, a_le=a_le, b_le=b_le, bounds=[bounds] * m + [(0.0, None)]))
     return float(sol.value)
 
 
@@ -329,6 +351,8 @@ def _pattern(spec: GaugeSpec, b: np.ndarray, tol: float) -> np.ndarray:
         return vals >= _pen("custom", vals) - tol
     if kind == "genlasso":
         b = spec.d @ b
+        if _rows_dependent(spec):  # sign only the rows off the span closure of the zeros
+            b[list(_closure(spec.d, np.flatnonzero(np.abs(b) <= tol)))] = 0.0
     a = np.abs(b)
     if kind == "sup":
         m = a.max(initial=0.0)
@@ -685,15 +709,10 @@ def _flats_below(d: np.ndarray, deficiency: int) -> list:
     closure of the empty set.  Raises GeneratorBlowup as soon as the
     covector-LP bound sum 2^(m - |Z|) exceeds _FACE_LISTING_CAP."""
     m = d.shape[0]
-
-    def closure(rows) -> tuple:
-        basis = row_space_basis(d[list(rows)])
-        return tuple(i for i in range(m) if basis.contains(d[i]))
-
-    flats, level = [], [closure(())]
+    flats, level = [], [_closure(d, ())]
     for r in range(deficiency):
         if r:
-            level = sorted({closure(z + (i,)) for z in level for i in range(m) if i not in z})
+            level = sorted({_closure(d, z + (i,)) for z in level for i in range(m) if i not in z})
         flats += [(r, z) for z in level]
         bound = sum(2 ** (m - len(z)) for _, z in flats)
         if bound > _FACE_LISTING_CAP:
@@ -702,6 +721,20 @@ def _flats_below(d: np.ndarray, deficiency: int) -> list:
                 f"(cap {_FACE_LISTING_CAP})"
             )
     return flats
+
+
+def _closure(d: np.ndarray, rows) -> tuple:
+    """The rows of D in the span of the rows `rows`, as a sorted tuple."""
+    basis = row_space_basis(d[list(rows)])
+    return tuple(i for i in range(d.shape[0]) if basis.contains(d[i]))
+
+
+def _rows_dependent(spec: GaugeSpec) -> bool:
+    """Whether the rows of a genlasso D are linearly dependent, decided once
+    and cached on the spec; only then can a zero set need its span closure."""
+    if not hasattr(spec, "_rows_dependent_cache"):
+        object.__setattr__(spec, "_rows_dependent_cache", rank(spec.d) < spec.d.shape[0])
+    return spec._rows_dependent_cache
 
 
 def _is_covector(d: np.ndarray, zero: tuple, rest: list, sigma: np.ndarray) -> bool:

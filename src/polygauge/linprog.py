@@ -2,7 +2,7 @@
 
 Two-phase primal simplex on a dense tableau with Bland's anti-cycling
 rule.  Built for the many small feasibility and minimization questions
-this package asks (row-space/face intersections, gauge epigraphs,
+this package asks (row-space/face intersections, fiber minima over B*,
 min-sup-norm representations); determinism and certificates matter more
 than speed at these sizes.
 
@@ -39,7 +39,9 @@ Tolerances:
   DEGENERATE_TOL  a pivot whose step (least ratio) is at most it is
                   degenerate;
   BLAND_TRIGGER   consecutive degenerate pivots before Bland's rule;
-  PHASE1_RTOL     feasibility cutoff on the phase-1 value (below).
+  PHASE1_RTOL     feasibility cutoff on the phase-1 value (below);
+  RESIDUAL_RTOL   an optimum is reported only when its own residuals pass
+                  (below).
 """
 
 from __future__ import annotations
@@ -66,10 +68,15 @@ BLAND_TRIGGER = 40
 # artificial infeasibility) is at most PHASE1_RTOL * (1 + ||b||_inf) over
 # the standard-form right-hand side b.
 PHASE1_RTOL = 1e-8
+# lp_solve raises NumericalFailure instead of reporting OPTIMAL when a
+# primal residual exceeds RESIDUAL_RTOL * (1 + ||b||_inf + ||x||_inf) over
+# the folded rows, or the duality gap exceeds RESIDUAL_RTOL * (1 + |value|).
+RESIDUAL_RTOL = 1e-9
 
 
 class NumericalFailure(RuntimeError):
-    """Raised when pivoting exceeds the iteration cap without terminating."""
+    """Raised when pivoting exceeds the iteration cap without terminating,
+    or when an optimum fails its own residual test (RESIDUAL_RTOL)."""
 
 
 @dataclass
@@ -418,7 +425,8 @@ def _phase1(problem: LpProblem, max_iter: int | None):
 
 
 def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
-    """Solve the LP; status plus certificates as described on LpSolution."""
+    """Solve the LP; status plus certificates as described on LpSolution.
+    An optimum failing its RESIDUAL_RTOL test raises NumericalFailure."""
     form, sx, phase1, farkas = _phase1(problem, max_iter)
     if farkas is not None:
         return LpSolution(
@@ -438,6 +446,10 @@ def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
     res_eq = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
     res_le = float(np.max(a_le @ x - b_le, initial=0.0))
     gap = abs(value - float(y @ form.b)) if form.b.size else 0.0
+    size = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_le).max(initial=0.0)) + np.abs(x).max(initial=0.0)
+    if max(res_eq, res_le) > RESIDUAL_RTOL * size or gap > RESIDUAL_RTOL * (1.0 + abs(value)):
+        raise NumericalFailure(f"optimum fails its residual test: primal_eq {res_eq:.3g}, "
+                               f"primal_le {res_le:.3g}, duality gap {gap:.3g} after {sx.iterations} pivots")
     return LpSolution(
         status=OPTIMAL,
         x=x,

@@ -96,6 +96,51 @@ def random_lp_problem(rng):
     return LpProblem(c, a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le, bounds=bounds)
 
 
+def fiber_min_oracle(spec, x, target) -> float:
+    """HiGHS value of min pen(b) s.t. Xb = target, in the primal epigraph
+    form of each kind (scipy is imported here, so callers importorskip it):
+
+    l1, genlasso -- min 1's over +-Db <= s (D = I for l1);
+    sup, custom  -- min t over +-b <= t or Ub <= t (U holds the zero row);
+    slope        -- the top-k-sum encoding: min sum_k (w_k - w_{k+1}) T_k(a)
+                    over a >= |b|, where the sum of the k largest a_i is
+                    T_k(a) = min over theta of k theta + sum_i (a_i - theta)_+;
+                    vars b | a | theta (p each) | v (p x p, v[k, i] >= a_i - theta_k).
+    """
+    from scipy.optimize import linprog as highs
+
+    n, p = x.shape
+    eye = np.eye(p)
+    if spec.kind == "slope":
+        w = np.asarray(spec.weights, dtype=float)
+        d = w - np.append(w[1:], 0.0)
+        pad = np.zeros((p, p + p * p))
+        c = np.concatenate([np.zeros(2 * p), d * np.arange(1, p + 1), np.repeat(d, p)])
+        a_ub = np.vstack(
+            [
+                np.hstack([eye, -eye, pad]),
+                np.hstack([-eye, -eye, pad]),
+                np.hstack([np.zeros((p * p, p)), np.tile(eye, (p, 1)), -np.kron(eye, np.ones((p, 1))), -np.eye(p * p)]),
+            ]
+        )
+        bounds = [(None, None)] * (3 * p) + [(0.0, None)] * (p * p)
+    elif spec.kind in ("l1", "genlasso"):
+        d = eye if spec.kind == "l1" else np.asarray(spec.d)
+        m = d.shape[0]
+        c = np.concatenate([np.zeros(p), np.ones(m)])
+        a_ub = np.vstack([np.hstack([d, -np.eye(m)]), np.hstack([-d, -np.eye(m)])])
+        bounds = [(None, None)] * p + [(0.0, None)] * m
+    else:
+        rows = np.vstack([eye, -eye]) if spec.kind == "sup" else np.asarray(spec.u)
+        c = np.append(np.zeros(p), 1.0)
+        a_ub = np.hstack([rows, -np.ones((rows.shape[0], 1))])
+        bounds = [(None, None)] * (p + 1)
+    a_eq = np.hstack([x, np.zeros((n, c.size - p))])
+    res = highs(c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq, b_eq=target, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def grid_argmin_2d(objective, center, half_width=4.0):
     """Two-stage dense grid search, coarse then refined near the argmin."""
 

@@ -22,8 +22,9 @@ from polygauge import (
 )
 from polygauge import conditions, linprog
 from polygauge.experiments import replication_rng
-from polygauge.gauge import GeneratorBlowup, _face_rows
-from polygauge.numerics import rank
+from polygauge.gauge import GeneratorBlowup, _ball, _face_rows, _sup_ball
+from polygauge.numerics import null_space_basis, rank
+from oracles import fiber_min_oracle
 from test_acceptance import STRONG_SIGNAL_X
 
 
@@ -68,40 +69,6 @@ def test_accessibility_slope_epigraph_matches_generator_route():
         assert r1.verdict == r2.verdict
 
 
-def _slope_fiber_min_top_k(x, target, w):
-    """HiGHS reference in the top-k-sum encoding: min sum_k (w_k - w_{k+1})
-    T_k(a) over Xb = target, a >= |b|, where the sum of the k largest a_i
-    is T_k(a) = min over theta of k theta + sum_i (a_i - theta)_+.
-    vars b | a | theta (p each) | v (p x p, v[k, i] >= a_i - theta_k)."""
-    from scipy.optimize import linprog as highs
-
-    n, p = x.shape
-    d = w - np.append(w[1:], 0.0)
-    eye, pad = np.eye(p), np.zeros((p, p + p * p))
-    c = np.concatenate([np.zeros(2 * p), d * np.arange(1, p + 1), np.repeat(d, p)])
-    a_ub = np.vstack(
-        [
-            np.hstack([eye, -eye, pad]),
-            np.hstack([-eye, -eye, pad]),
-            np.hstack(
-                [
-                    np.zeros((p * p, p)),
-                    np.tile(eye, (p, 1)),
-                    -np.kron(eye, np.ones((p, 1))),
-                    -np.eye(p * p),
-                ]
-            ),
-        ]
-    )
-    a_eq = np.hstack([x, np.zeros((n, 2 * p + p * p))])
-    bounds = [(None, None)] * (3 * p) + [(0.0, None)] * (p * p)
-    res = highs(
-        c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq, b_eq=target, bounds=bounds, method="highs"
-    )
-    assert res.status == 0, res.message
-    return float(res.fun)
-
-
 @pytest.mark.parametrize("p", [12, 16])
 def test_accessibility_slope_above_p10(p):
     pytest.importorskip("scipy")
@@ -117,8 +84,105 @@ def test_accessibility_slope_above_p10(p):
         b = rep.certificate["minimizer"]
         assert np.max(np.abs(x @ b - target)) <= 1e-8 * (1.0 + np.max(np.abs(target)))
         assert abs(pen_eval(spec, b) - value) <= 1e-8 * (1.0 + value)
-        ref = _slope_fiber_min_top_k(x, target, w)
+        ref = fiber_min_oracle(spec, x, target)
         assert abs(value - ref) <= 1e-7 * max(1.0, abs(ref))
+
+
+def _oracle_specs(rng, p):
+    """One gauge per kind in dimension p, with a D whose last row is the sum
+    of its first two and a custom U with the zero row and five random rows."""
+    d = rng.standard_normal((4, p))
+    d[3] = d[0] + d[1]
+    return [
+        GaugeSpec.l1(p),
+        GaugeSpec.sup(p),
+        GaugeSpec.tv(p),
+        GaugeSpec.tf(p),
+        GaugeSpec.genlasso(d),
+        GaugeSpec.custom(rng.standard_normal((5, p))),
+        GaugeSpec.slope(np.sort(rng.uniform(0.5, 3.0, p))[::-1]),
+    ]
+
+
+def test_accessibility_matches_fiber_oracle():
+    # n below, equal to and above p; a repeated row of X; beta = 0 and a
+    # nonzero beta in ker(X), both with target 0
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(41)
+    verdicts = set()
+    for trial in range(24):
+        p = int(rng.integers(3, 7))
+        n = int(rng.integers(2, p + 3))
+        x = rng.standard_normal((n, p))
+        beta = rng.standard_normal(p) * rng.integers(0, 2, size=p)
+        if trial % 4 == 1:
+            x[-1] = x[0]
+        elif trial % 4 == 2:
+            beta = np.zeros(p)
+        elif trial % 4 == 3 and n < p:
+            beta = null_space_basis(x).vectors[:, 0]
+        for spec in _oracle_specs(rng, p):
+            rep = check_accessibility(spec, x, beta)
+            ref = fiber_min_oracle(spec, x, x @ beta)
+            value, b = rep.certificate["lp_value"], rep.certificate["minimizer"]
+            assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref)), (trial, spec.kind)
+            assert np.max(np.abs(x @ b - x @ beta)) <= 1e-9 * (1.0 + np.max(np.abs(x @ beta)))
+            assert abs(pen_eval(spec, b) - value) <= 1e-9 * (1.0 + value)
+            assert rep.verdict == (ref - pen_eval(spec, beta) >= -1e-7)
+            verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
+
+
+def _desk_case(name):
+    """The desk-scale accessibility instances: l1(100) and tf(100) at n = 50
+    with five unit entries (their cumsum for tf), tv(200) at n = 100 with five
+    unit jumps, slope(24) at n = 12 with entries in {-2, ..., 2}."""
+    if name == "slope-24":
+        rng = np.random.default_rng(2401)
+        x = rng.standard_normal((12, 24))
+        return GaugeSpec.slope(np.arange(24.0, 0.0, -1.0)), x, rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], 24)
+    p = 200 if name == "tv-200" else 100
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal((p // 2, p))
+    beta = np.zeros(p)
+    beta[rng.choice(p, 5, replace=False)] = 1.0
+    if name == "l1-100":
+        return GaugeSpec.l1(p), x, beta
+    return (GaugeSpec.tv(p) if name == "tv-200" else GaugeSpec.tf(p)), x, np.cumsum(beta)
+
+
+@pytest.mark.parametrize("name", ["l1-100", "tf-100", "tv-200", "slope-24"])
+def test_accessibility_at_desk_scale_matches_highs(name):
+    # the primal epigraph LPs raised NumericalFailure on l1(100), tf(100)
+    # and slope(24) and took seconds to minutes doing it
+    pytest.importorskip("scipy")
+    spec, x, beta = _desk_case(name)
+    rep = check_accessibility(spec, x, beta)
+    ref = fiber_min_oracle(spec, x, x @ beta)
+    assert abs(rep.certificate["lp_value"] - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert rep.verdict == (ref - pen_eval(spec, beta) >= -1e-7)
+
+
+def test_accessibility_certificate_carries_the_dual_point():
+    # the fiber LP's mu: X'mu lies in B* and exposes beta when accessible;
+    # otherwise (X beta)'mu, the fiber minimum, falls short of pen(beta)
+    rng = np.random.default_rng(43)
+    verdicts = set()
+    for trial in range(8):
+        p = 5
+        x = rng.standard_normal((int(rng.integers(2, 5)), p))
+        beta = rng.standard_normal(p) * rng.integers(0, 2, size=p)
+        for spec in _oracle_specs(rng, p):
+            rep = check_accessibility(spec, x, beta)
+            mu, s, pen_beta = rep.certificate["mu"], rep.certificate["dual_point"], rep.certificate["pen_beta"]
+            assert np.array_equal(s, x.T @ mu)
+            if rep.verdict:
+                assert dual_feasibility(spec, s) <= 1e-9
+                assert abs(float(beta @ s) - pen_beta) <= 1e-9 * (1.0 + pen_beta)
+            else:
+                assert float((x @ beta) @ mu) < pen_beta
+            verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
 
 
 def test_accessibility_margin_reported():
@@ -349,7 +413,7 @@ def test_min_linf_dual_form_matches_highs():
     ones = np.ones((p, 1))
     a_ub = np.vstack([np.hstack([np.eye(p), -ones]), np.hstack([-np.eye(p), -ones])])
     for _, x, target in _fig5_draws(4):
-        value, gamma = conditions._min_max_lp(x, target, _sup_rows(p))
+        value, gamma, _ = conditions._fiber_lp(x, target, _sup_ball(p))
         assert value == min_linf_representation(x, target)
         ref = highs(np.append(np.zeros(p), 1.0), A_ub=a_ub, b_ub=np.zeros(2 * p),
                     A_eq=np.hstack([x, np.zeros((n, 1))]), b_eq=target,
@@ -385,8 +449,9 @@ def test_dual_form_target_outside_column_space():
     target[-1] += 1.0
     with pytest.raises(InfeasibleTarget):
         min_linf_representation(x, target)
-    with pytest.raises(InfeasibleTarget):
-        conditions._min_max_lp(x, target, np.vstack([np.zeros((1, 60)), _sup_rows(60)]))
+    for spec in (GaugeSpec.custom(_sup_rows(60)), GaugeSpec.l1(60)):  # simplex and box balls
+        with pytest.raises(InfeasibleTarget):
+            conditions._fiber_lp(x, target, _ball(spec))
     # D' of a difference matrix misses the constants: 0 is never a minimizer
     for spec in (GaugeSpec.tv(6), GaugeSpec.tf(6)):
         assert zero_threshold(spec, np.eye(6), np.ones(6)) == float("inf")

@@ -25,6 +25,7 @@ from polygauge import check_nrc_geometric, solution_path, solve, verify_threshol
 from polygauge import gauge
 from polygauge.conditions import check_uniform_uniqueness
 from polygauge.gauge import _face_rows, _faces_below, _pattern, _signed_ranks, round_sig
+from polygauge.numerics import null_space_basis, rank
 
 ALL_SMALL_SPECS = [
     GaugeSpec.l1(3),
@@ -264,6 +265,31 @@ def test_fingerprint_equality_matches_active_indices():
                 lhs = active_set(spec, a) == active_set(spec, b)
                 rhs = active_indices(spec, a) == active_indices(spec, b)
                 assert lhs == rhs
+
+
+def test_genlasso_patterns_are_covectors():
+    # snapping each row of D beta on its own keyed (0, 6e-9, 6e-9) under
+    # criterion 3's D (d3 = d1 + d2) as (0, 0, 1), a sign vector no a attains
+    spec = GaugeSpec.genlasso(CRITERION3_D)
+    assert active_set(spec, (0.0, 6e-9, 6e-9)).key == ("genlasso", (0, 0, 0))
+    assert complexity(spec, (0.0, 6e-9, 6e-9)) == 1
+    rng = np.random.default_rng(17)
+    random_d = rng.standard_normal((5, 4))
+    random_d[4] = random_d[0] - 2.0 * random_d[1]
+    for d in (CRITERION3_D, DEGENERATE_D, random_d):
+        spec = GaugeSpec.genlasso(d)
+        m, p = d.shape
+        for _ in range(60):
+            # a point of a random flat, moved off it by about the snapping tolerance
+            rows = rng.choice(m, int(rng.integers(0, m)), replace=False)
+            basis = null_space_basis(d[rows]).vectors
+            beta = basis @ rng.standard_normal(basis.shape[1])
+            beta += rng.choice([3e-9, 6e-9, 2e-8]) * rng.standard_normal(p)
+            pattern = np.array(active_set(spec, beta).key[1], dtype=float)
+            zero = tuple(int(i) for i in np.flatnonzero(pattern == 0))
+            rest = [i for i in range(m) if pattern[i]]
+            assert not rest or gauge._is_covector(d, zero, rest, pattern[rest]), (d, beta, pattern)
+            assert complexity(spec, beta) == p - rank(d[list(zero)])
 
 
 def test_local_subdifferential_inclusion():

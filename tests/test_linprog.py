@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polygauge import linprog
+from polygauge.gauge import tv_matrix
 from polygauge.linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -306,3 +307,25 @@ def test_free_columns_take_equality_rows_first():
     sol = lp_solve(prob)
     assert sol.status == OPTIMAL and np.allclose(sol.x, [-9.0, 1.0, 0.0])
     check_lp_certificate(prob, sol)
+
+
+def test_optimum_failing_its_residuals_raises():
+    # the tv(100) accessibility dual with the box split into w+, w- >= 0,
+    # w+ + w- <= 1: 1,468 dense pivots leave a primal residual of 1.9e-3,
+    # and the value read 5.035 as OPTIMAL where HiGHS gives 5
+    rng = np.random.default_rng(100)
+    x = rng.standard_normal((50, 100))
+    beta = np.zeros(100)
+    beta[rng.choice(100, 5, replace=False)] = 1.0
+    d = tv_matrix(100)
+    m = d.shape[0]
+    prob = LpProblem(
+        np.concatenate([-(x @ np.cumsum(beta)), np.zeros(2 * m)]),
+        a_eq=np.hstack([x.T, -d.T, d.T]),
+        b_eq=np.zeros(100),
+        a_le=np.hstack([np.zeros((m, 50)), np.eye(m), np.eye(m)]),
+        b_le=np.ones(m),
+        bounds=[(None, None)] * 50 + [(0.0, None)] * (2 * m),
+    )
+    with pytest.raises(linprog.NumericalFailure, match="primal_eq"):
+        lp_solve(prob)

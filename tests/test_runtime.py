@@ -38,6 +38,11 @@ assert active_set(GaugeSpec.tv(30), tv30).key == ("genlasso", (0,) * 9 + (1,) + 
 assert check_nrc_geometric(slope8, np.eye(8), np.array([3.0, -2.5, 2.0, 0.0, 1.0, 0.0, -0.5, 0.0])).verdict
 slope = GaugeSpec.slope(np.arange(12.0, 0.0, -1.0))
 check_accessibility(slope, rng.standard_normal((6, 12)), np.arange(12.0))
+acc_rng = np.random.default_rng(100)
+acc_x = acc_rng.standard_normal((50, 100))
+acc_beta = np.zeros(100)
+acc_beta[acc_rng.choice(100, 5, replace=False)] = 1.0
+assert check_accessibility(GaugeSpec.l1(100), acc_x, acc_beta).verdict
 assert check_uniform_uniqueness(GaugeSpec.sup(6), np.array(CRITERION7_X)).verdict
 check_uniform_uniqueness(GaugeSpec.tv(4), rng.standard_normal((2, 4)))
 b = np.array([2.0, 1.7, -1.9, 0.3])
