@@ -26,6 +26,19 @@ Pricing reads reduced costs off explicit objective rows (one per phase)
 that every pivot updates: Dantzig's rule (most negative reduced cost)
 until BLAND_TRIGGER consecutive degenerate pivots, then Bland's rule for
 the rest of the phase.  lp_solve and feasibility share one phase 1.
+
+Phase 1 stops at the first basis whose phase-1 value, the total level of
+the basic artificials, is at most PHASE1_STOP_TOL * (1 + ||b||_inf); it
+makes no pivot when the crash basis already is that feasible (every
+equality row with b = 0, say).  The phase-1 value never rises from one
+pivot to the next, so a system stopped early is one that phase 1 run to
+optimality would also call feasible, and a system whose phase-1 minimum
+stays above the cutoff still runs phase 1 to optimality.  The early stop
+may leave artificials basic at zero level.  Phase 2 first drives each
+out on the largest structural entry of its row (the lowest index wins a
+tie), and a row with no entry above PIVOT_EPS is redundant and leaves the
+live tableau.
+
 Certificates (duals, Farkas vectors) come from one ``np.linalg.solve`` on
 the square basis matrix over the original rows, and are reported over
 the folded rows of _bounds_to_rows, implicit bound rows included.
@@ -39,6 +52,7 @@ Tolerances:
   DEGENERATE_TOL  a pivot whose step (least ratio) is at most it is
                   degenerate;
   BLAND_TRIGGER   consecutive degenerate pivots before Bland's rule;
+  PHASE1_STOP_TOL phase 1 stops once its value is at most it (below);
   PHASE1_RTOL     feasibility cutoff on the phase-1 value (below);
   RESIDUAL_RTOL   an optimum is reported only when its own residuals pass
                   (below).
@@ -64,6 +78,9 @@ RATIO_TIE_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
 # Consecutive degenerate pivots after which pricing switches to Bland's rule.
 BLAND_TRIGGER = 40
+# Phase 1 stops as soon as its value is at most PHASE1_STOP_TOL * (1 + ||b||_inf)
+# over the standard-form right-hand side b, far below PHASE1_RTOL.
+PHASE1_STOP_TOL = 1e-12
 # Constraints count as feasible when the phase-1 value (the least total
 # artificial infeasibility) is at most PHASE1_RTOL * (1 + ||b||_inf) over
 # the standard-form right-hand side b.
@@ -128,7 +145,9 @@ class LpSolution:
         and y_eq'b_eq + y_le'b_le > 0.
     For UNBOUNDED: ray is an original-space direction of unbounded descent.
     iterations counts every pivot: free-column eliminations, phase 1,
-    driving artificials out of the basis, and phase 2.
+    driving artificials out of the basis, and phase 2.  phase1_pivots
+    counts the phase-1 pivots alone, and bland is whether Bland's rule
+    started in either phase.
     """
 
     status: str
@@ -139,16 +158,22 @@ class LpSolution:
     farkas: tuple | None = None
     ray: np.ndarray | None = None
     iterations: int = 0
+    phase1_pivots: int = 0
+    bland: bool = False
     residuals: dict = field(default_factory=dict)
 
 
 @dataclass
 class FeasibilityResult:
+    """Phase-1 outcome; iterations, phase1_pivots and bland as on LpSolution."""
+
     feasible: bool
     witness: np.ndarray | None
     farkas: tuple | None
     phase1_value: float
     iterations: int = 0
+    phase1_pivots: int = 0
+    bland: bool = False
 
 
 def _bounds_to_rows(problem: LpProblem):
@@ -241,7 +266,7 @@ class _Simplex:
         m, n = form.a.shape
         self.form, self.m, self.n = form, m, n
         self.max_iter = max_iter
-        self.iterations = 0
+        self.iterations = self.phase1_pivots = 0
         self.bland = False  # whether Bland's rule started in any phase
         t = np.zeros((m + 1, n + 1))
         t[:m, :n], t[:m, -1], t[m, :n] = form.a, form.b, form.c
@@ -302,9 +327,10 @@ class _Simplex:
         _eliminate(self.T, r, j)
         self.basis[r] = j
 
-    def _run(self, allowed: np.ndarray):
-        """Price on the last row of T and pivot to optimality; returns None
-        at an optimum, else (column, direction) of an unbounded ray.
+    def _run(self, allowed: np.ndarray, stop: float | None = None):
+        """Price on the last row of T and pivot to optimality, or until the
+        basic artificials total at most stop; returns None there, else
+        (column, direction) of an unbounded ray.
 
         Pricing is Dantzig (most negative reduced cost) until a run of
         degenerate pivots signals possible cycling, then switches to
@@ -318,6 +344,8 @@ class _Simplex:
         bland = False
         degenerate_run = 0
         while True:
+            if stop is not None and self._infeasibility() <= stop:
+                return None
             reduced = T[-1, :-1] * allowed
             if self.dead.size:
                 reduced[self.dead] = -np.abs(reduced[self.dead])
@@ -348,23 +376,32 @@ class _Simplex:
             else:
                 degenerate_run = 0
 
-    def solve_phase1(self) -> float:
-        """Phase 1; returns its value, the total artificial infeasibility."""
+    def _infeasibility(self) -> float:
+        """The phase-1 value: the total level of the basic artificials."""
+        level = self.T[: self.basis.size, -1][self.basis >= self.n]
+        return float(np.maximum(level, 0.0).sum())
+
+    def solve_phase1(self, stop: float) -> float:
+        """Phase 1 until its value is at most stop, or to optimality;
+        returns the value reached."""
+        start = self.iterations
         if self.n_art:
-            self._run(np.ones(self.T.shape[1] - 1))
-        ml = self.basis.size
-        return float(np.maximum(self.T[:ml, -1], 0.0)[self.basis >= self.n].sum())
+            self._run(np.ones(self.T.shape[1] - 1), stop)
+        self.phase1_pivots = self.iterations - start
+        return self._infeasibility()
 
     def solve_phase2(self):
-        """Drop the phase-1 row, pivot basic artificials onto structural
-        columns (a row where none can enter is redundant and leaves the
+        """Drop the phase-1 row, pivot each basic artificial out on the
+        largest structural entry of its row, lowest index first among equal
+        ones (a row where none exceeds PIVOT_EPS is redundant and leaves the
         ratio tests), then price the phase-2 row.  Returns None at an
         optimum, else an unbounded ray over the columns."""
         self.T = self.T[:-1]
         for r in np.flatnonzero(self.basis >= self.n):
-            j = np.flatnonzero(np.abs(self.T[r, : self.n]) > PIVOT_EPS)
-            if j.size:
-                self._pivot(int(r), int(j[0]))
+            mag = np.abs(self.T[r, : self.n])
+            j = int(np.argmax(mag))
+            if mag[j] > PIVOT_EPS:
+                self._pivot(int(r), j)
             else:
                 self.alive[r] = False
         allowed = np.arange(self.n + self.n_art) < self.n
@@ -416,32 +453,22 @@ def _phase1(problem: LpProblem, max_iter: int | None):
     if max_iter is None:
         max_iter = 50 * (form.a.shape[1] + form.a.shape[0])
     sx = _Simplex(form, max_iter)
-    phase1 = sx.solve_phase1()
     scale = 1.0 + float(np.abs(form.b).max(initial=0.0))
+    phase1 = sx.solve_phase1(PHASE1_STOP_TOL * scale)
     if phase1 <= PHASE1_RTOL * scale:
         return form, sx, phase1, None
     cost1 = (np.arange(sx.n + sx.n_art) >= sx.n).astype(float)
     return form, sx, phase1, form.folded(sx.dual(cost1), np.zeros(form.n))
 
 
-def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
-    """Solve the LP; status plus certificates as described on LpSolution.
-    An optimum failing its RESIDUAL_RTOL test raises NumericalFailure."""
-    form, sx, phase1, farkas = _phase1(problem, max_iter)
-    if farkas is not None:
-        return LpSolution(
-            status=INFEASIBLE,
-            farkas=farkas,
-            iterations=sx.iterations,
-            residuals={"phase1": phase1},
-        )
-    ray = sx.solve_phase2()
-    if ray is not None:
-        return LpSolution(status=UNBOUNDED, ray=ray[: form.n], iterations=sx.iterations)
-    x = sx.primal()[: form.n]
-    y = sx.dual(np.concatenate([form.c, np.zeros(sx.n_art)]))
-    y_eq, y_le = form.folded(y, problem.c)
-    value = float(problem.c @ x)
+def _counts(sx: _Simplex) -> dict:
+    return {"iterations": sx.iterations, "phase1_pivots": sx.phase1_pivots, "bland": sx.bland}
+
+
+def _residuals(form: _StandardForm, x: np.ndarray, y: np.ndarray, c: np.ndarray, pivots: int) -> dict:
+    """Primal residuals of x over the folded rows and the duality gap of
+    (x, y); raises NumericalFailure when one fails its RESIDUAL_RTOL test."""
+    value = float(c @ x)
     a_eq, b_eq, a_le, b_le = form.folded_rows
     res_eq = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
     res_le = float(np.max(a_le @ x - b_le, initial=0.0))
@@ -449,16 +476,25 @@ def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
     size = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_le).max(initial=0.0)) + np.abs(x).max(initial=0.0)
     if max(res_eq, res_le) > RESIDUAL_RTOL * size or gap > RESIDUAL_RTOL * (1.0 + abs(value)):
         raise NumericalFailure(f"optimum fails its residual test: primal_eq {res_eq:.3g}, "
-                               f"primal_le {res_le:.3g}, duality gap {gap:.3g} after {sx.iterations} pivots")
-    return LpSolution(
-        status=OPTIMAL,
-        x=x,
-        value=value,
-        y_eq=y_eq,
-        y_le=y_le,
-        iterations=sx.iterations,
-        residuals={"primal_eq": res_eq, "primal_le": res_le, "duality_gap": gap},
-    )
+                               f"primal_le {res_le:.3g}, duality gap {gap:.3g} after {pivots} pivots")
+    return {"primal_eq": res_eq, "primal_le": res_le, "duality_gap": gap}
+
+
+def lp_solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
+    """Solve the LP; status plus certificates as described on LpSolution.
+    An optimum failing its RESIDUAL_RTOL test raises NumericalFailure."""
+    form, sx, phase1, farkas = _phase1(problem, max_iter)
+    if farkas is not None:
+        return LpSolution(status=INFEASIBLE, farkas=farkas, residuals={"phase1": phase1}, **_counts(sx))
+    ray = sx.solve_phase2()
+    if ray is not None:
+        return LpSolution(status=UNBOUNDED, ray=ray[: form.n], **_counts(sx))
+    x = sx.primal()[: form.n]
+    y = sx.dual(np.concatenate([form.c, np.zeros(sx.n_art)]))
+    y_eq, y_le = form.folded(y, problem.c)
+    residuals = _residuals(form, x, y, problem.c, sx.iterations)
+    return LpSolution(status=OPTIMAL, x=x, value=float(problem.c @ x), y_eq=y_eq, y_le=y_le,
+                      residuals=residuals, **_counts(sx))
 
 
 def feasibility(problem: LpProblem, max_iter: int | None = None) -> FeasibilityResult:
@@ -469,6 +505,5 @@ def feasibility(problem: LpProblem, max_iter: int | None = None) -> FeasibilityR
     y_eq'b_eq + y_le'b_le > 0 within tolerance.
     """
     form, sx, phase1, farkas = _phase1(problem, max_iter)
-    if farkas is not None:
-        return FeasibilityResult(False, None, farkas, phase1, sx.iterations)
-    return FeasibilityResult(True, sx.primal()[: form.n], None, phase1, sx.iterations)
+    witness = None if farkas is not None else sx.primal()[: form.n]
+    return FeasibilityResult(farkas is None, witness, farkas, phase1, **_counts(sx))

@@ -457,22 +457,68 @@ def test_dual_form_target_outside_column_space():
         assert zero_threshold(spec, np.eye(6), np.ones(6)) == float("inf")
 
 
-def test_fig5_representation_pivot_budget(monkeypatch):
-    """The dual form keeps p - n + 1 = 21 live rows: a fig-5 LP takes about
-    120 pivots (the split primal form took about 170 on 160 rows)."""
-    pivots = []
+def _record_lp_solutions(monkeypatch) -> list:
+    """A list that collects the LpSolution of every later lp_solve call."""
+    sols = []
     solve = linprog.lp_solve
 
-    def counting(problem, *args, **kwargs):
-        sol = solve(problem, *args, **kwargs)
-        pivots.append(sol.iterations)
-        return sol
+    def recording(problem, *args, **kwargs):
+        sols.append(solve(problem, *args, **kwargs))
+        return sols[-1]
 
-    monkeypatch.setattr(linprog, "lp_solve", counting)
+    monkeypatch.setattr(linprog, "lp_solve", recording)
+    return sols
+
+
+def _fig5_solutions(monkeypatch) -> list:
+    """The LpSolution of every fig-5 LP over _fig5_draws(6)."""
+    sols = _record_lp_solutions(monkeypatch)
     for _, x, target in _fig5_draws(6):
         min_linf_representation(x, target)
-    assert len(pivots) == 18
+    assert len(sols) == 18
+    return sols
+
+
+def test_fig5_representation_pivot_budget(monkeypatch):
+    """The dual form keeps p - n + 1 = 21 live rows: a fig-5 LP takes about
+    95 pivots (the split primal form took about 170 on 160 rows)."""
+    pivots = [sol.iterations for sol in _fig5_solutions(monkeypatch)]
     assert np.median(pivots) <= 150
+
+
+def test_fig5_dual_lp_makes_no_phase1_pivot(monkeypatch):
+    # the crash basis mu = 0, z = 0 is feasible: b = 0 on the p equality
+    # rows and 1 on the simplex row.  Phase 1 run to optimality made about
+    # 50 degenerate pivots on each draw, about 125 in total; stopped at once
+    # the LP takes about 95, the drive-out of 20 artificials included
+    sols = _fig5_solutions(monkeypatch)
+    assert all(sol.phase1_pivots == 0 and not sol.bland for sol in sols)
+    assert np.median([sol.iterations for sol in sols]) <= 105
+
+
+def test_slope30_accessibility_matches_oracle():
+    # phase 1 run to optimality left a primal residual of 2.4e-5 after
+    # 1,589 pivots here, and the residual guard raised NumericalFailure
+    rng = np.random.default_rng(3001)
+    x = rng.standard_normal((15, 30))
+    beta = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], 30)
+    spec = GaugeSpec.slope(np.arange(30.0, 0.0, -1.0))
+    value = check_accessibility(spec, x, beta).certificate["lp_value"]
+    assert abs(value - 541.9476151052141) <= 1e-9 * value  # fiber_min_oracle's value
+    pytest.importorskip("scipy")
+    ref = fiber_min_oracle(spec, x, x @ beta)
+    assert abs(value - ref) <= 1e-9 * ref
+
+
+def test_tf100_dual_feasibility_on_the_boundary(monkeypatch):
+    # X'mu of the tf(100) accessibility LP lies on the boundary of B*; its
+    # membership LP hit the 44,550-pivot cap after 17-19 s with phase 1 run
+    # to optimality, and takes about 120 pivots stopped at the first feasible basis
+    spec, x, beta = _desk_case("tf-100")
+    s = check_accessibility(spec, x, beta).certificate["dual_point"]
+    sols = _record_lp_solutions(monkeypatch)
+    assert abs(dual_feasibility(spec, s)) <= 1e-9
+    assert len(sols) == 1 and sols[0].iterations <= 1000
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,8 @@ def test_feasibility_segment_witness():
     assert res.feasible
     w = res.witness
     assert abs(w.sum() - 1.0) < 1e-9 and np.all(w >= -1e-9)
+    # one phase-1 pivot takes the artificial of the row to zero, then phase 1 stops
+    assert res.phase1_pivots == res.iterations == 1 and not res.bland
 
 
 def test_row_space_vertex_feasibility():
@@ -266,7 +270,8 @@ def test_degenerate_cycling_instance_switches_to_bland(monkeypatch):
     a_le = np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]])
     prob = LpProblem(c, a_le=a_le, b_le=[0.0, 0.0, 1.0], bounds=[(0.0, None)] * 4)
     sol = lp_solve(prob)
-    assert made[-1].bland
+    assert made[-1].bland and sol.bland
+    assert sol.phase1_pivots == 0  # x = 0 is feasible: all of it is phase 2
     assert sol.iterations > linprog.BLAND_TRIGGER
     assert sol.status == OPTIMAL
     assert abs(sol.value - vertex_oracle(prob)[1]) <= 1e-9
@@ -309,17 +314,16 @@ def test_free_columns_take_equality_rows_first():
     check_lp_certificate(prob, sol)
 
 
-def test_optimum_failing_its_residuals_raises():
-    # the tv(100) accessibility dual with the box split into w+, w- >= 0,
-    # w+ + w- <= 1: 1,468 dense pivots leave a primal residual of 1.9e-3,
-    # and the value read 5.035 as OPTIMAL where HiGHS gives 5
+def _tv100_split_box():
+    """The tv(100) accessibility dual with the box split into w+, w- >= 0,
+    w+ + w- <= 1: 100 equality rows with b = 0, 99 inequality rows."""
     rng = np.random.default_rng(100)
     x = rng.standard_normal((50, 100))
     beta = np.zeros(100)
     beta[rng.choice(100, 5, replace=False)] = 1.0
     d = tv_matrix(100)
     m = d.shape[0]
-    prob = LpProblem(
+    return LpProblem(
         np.concatenate([-(x @ np.cumsum(beta)), np.zeros(2 * m)]),
         a_eq=np.hstack([x.T, -d.T, d.T]),
         b_eq=np.zeros(100),
@@ -327,5 +331,137 @@ def test_optimum_failing_its_residuals_raises():
         b_le=np.ones(m),
         bounds=[(None, None)] * 50 + [(0.0, None)] * (2 * m),
     )
+
+
+def test_tv100_split_box_lp_solves():
+    # phase 1 run to optimality took 1,468 dense pivots here and left a
+    # primal residual of 1.9e-3 (the value read 5.035); stopped at the
+    # feasible crash basis it takes about 165, and HiGHS gives -5.0000000000001
+    prob = _tv100_split_box()
+    sol = lp_solve(prob)
+    assert sol.status == OPTIMAL and sol.phase1_pivots == 0
+    assert abs(sol.value + 5.0) <= 1e-9
+    assert sol.iterations <= 400
+    check_lp_certificate(prob, sol)
+
+
+def test_optimum_failing_its_residuals_raises(monkeypatch):
+    # an optimum moved off its rows by 1e-6 must not be reported as OPTIMAL
+    rng = np.random.default_rng(15)
+    prob = random_lp_problem(rng)
+    while prob.a_eq is None:
+        prob = random_lp_problem(rng)
+    primal = linprog._Simplex.primal
+    monkeypatch.setattr(linprog._Simplex, "primal", lambda self: primal(self) + 1e-6)
     with pytest.raises(linprog.NumericalFailure, match="primal_eq"):
         lp_solve(prob)
+    # the duality gap alone: the true optimum x with multipliers y whose
+    # dual value y'b misses c'x by 1e-6
+    monkeypatch.setattr(linprog._Simplex, "primal", primal)
+    sol = lp_solve(prob)
+    form = linprog._StandardForm(prob)
+    y = (sol.value + 1e-6) * form.b / (form.b @ form.b)
+    with pytest.raises(linprog.NumericalFailure, match="duality gap"):
+        linprog._residuals(form, sol.x, y, prob.c, sol.iterations)
+
+
+# ---------------------------------------------------------------------------
+# phase 1 stops at the first feasible basis; the drive-out takes the largest entry
+
+
+def _highs(prob):
+    """HiGHS status and value of prob (scipy is imported here, so callers
+    importorskip it)."""
+    from scipy.optimize import linprog as highs
+
+    res = highs(prob.c, A_ub=prob.a_le, b_ub=prob.b_le, A_eq=prob.a_eq, b_eq=prob.b_eq,
+                bounds=prob.bounds or [(None, None)] * prob.n_vars, method="highs")
+    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status], res.fun
+
+
+def test_zero_rhs_equality_rows_match_highs():
+    # x = 0 is feasible; unless a free column's elimination turns a
+    # right-hand side negative, so is the crash basis, and phase 1 makes no
+    # pivot and leaves the equality rows' artificials basic at zero level
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(16)
+    statuses, skipped = set(), 0
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        me, mi = int(rng.integers(1, n)), int(rng.integers(0, 4))
+        a_eq = rng.standard_normal((me, n))
+        if me > 1 and rng.random() < 0.3:
+            a_eq[-1] = a_eq[0]  # a redundant row
+        a_le = rng.standard_normal((mi, n)) if mi else None
+        b_le = rng.uniform(0.0, 1.0, mi) * (rng.random(mi) < 0.5) if mi else None
+        bounds = [[(-1.0, 2.0), (0.0, None), (None, None)][k] for k in rng.integers(0, 3, n)]
+        prob = LpProblem(rng.standard_normal(n), a_eq=a_eq, b_eq=np.zeros(me), a_le=a_le, b_le=b_le,
+                         bounds=bounds)
+        sol = lp_solve(prob)
+        status, value = _highs(prob)
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert abs(sol.value - value) <= 1e-9 * (1.0 + abs(value))
+        check_lp_certificate(prob, sol)
+        statuses.add(status)
+        if linprog._Simplex(linprog._StandardForm(prob), 100)._infeasibility() == 0.0:
+            assert sol.phase1_pivots == 0
+            skipped += 1
+    assert statuses == {OPTIMAL, UNBOUNDED}
+    assert skipped >= 30
+
+
+def test_degenerate_start_feasibility_matches_highs():
+    # nonnegative x with equality rows from a sparse x0, some right-hand
+    # sides then set to 0: degenerate starts, feasible and infeasible
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(17)
+    verdicts = set()
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        me, mi = int(rng.integers(1, n + 1)), int(rng.integers(0, 3))
+        x0 = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.4)
+        a_eq = rng.standard_normal((me, n))
+        b_eq = a_eq @ x0
+        b_eq[rng.random(me) < 0.4] = 0.0
+        a_le = rng.standard_normal((mi, n)) if mi else None
+        b_le = a_le @ x0 * (rng.random(mi) < 0.5) if mi else None
+        prob = LpProblem(rng.standard_normal(n), a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le,
+                         bounds=[(0.0, 3.0)] * n)
+        res = feasibility(prob)
+        status, value = _highs(prob)
+        assert res.feasible == (status == OPTIMAL)
+        a_eq_f, b_eq_f, a_le_f, b_le_f = _bounds_to_rows(prob)
+        if res.feasible:
+            assert np.max(np.abs(a_eq_f @ res.witness - b_eq_f)) <= 1e-8
+            assert np.max(a_le_f @ res.witness - b_le_f) <= 1e-8
+        else:
+            check_lp_certificate(prob, SimpleNamespace(status=INFEASIBLE, farkas=res.farkas))
+        sol = lp_solve(prob)
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert abs(sol.value - value) <= 1e-9 * (1.0 + abs(value))
+        check_lp_certificate(prob, sol)
+        verdicts.add(res.feasible)
+    assert verdicts == {True, False}
+
+
+def test_drive_out_pivots_on_the_largest_entry(monkeypatch):
+    # one equality row with b = 0 whose first entry sits just above
+    # PIVOT_EPS: its artificial leaves on x_2, the entry of size 1
+    pivots = []
+
+    class Spy(linprog._Simplex):
+        def _pivot(self, r, j):
+            pivots.append((r, j))
+            super()._pivot(r, j)
+
+    monkeypatch.setattr(linprog, "_Simplex", Spy)
+    a_eq = np.array([[2.0 * linprog.PIVOT_EPS, 1.0, -0.5, 0.25]])
+    prob = LpProblem(np.array([-1.0, -1.0, 0.5, -0.25]), a_eq=a_eq, b_eq=[0.0], a_le=np.eye(4),
+                     b_le=np.ones(4), bounds=[(0.0, None)] * 4)
+    sol = lp_solve(prob)
+    assert sol.phase1_pivots == 0 and pivots[0] == (0, 1)
+    assert sol.status == OPTIMAL
+    assert abs(sol.value - vertex_oracle(prob)[1]) <= 1e-9
+    check_lp_certificate(prob, sol)
