@@ -241,7 +241,7 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
     values: dict = {}
     if args.config is not None:
         values.update(load_config(args.config))
-    for key in ("n", "p", "reps", "workers"):
+    for key in ("n", "p", "reps"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--reps", type=int, default=None)
     pe.add_argument("--k-values", type=int, nargs="+", default=None)
     pe.add_argument("--sigma", type=float, default=None)
-    pe.add_argument("--workers", type=int, default=None)
     pe.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -27,7 +27,7 @@ from .gauge import (
     enumerate_faces,
     pen_eval,
 )
-from .numerics import _row_space_preimage, as_matrix, as_vector, rank
+from .numerics import _row_space_preimage, _svd, as_matrix, as_vector, rank
 from .solvers import SolveOptions, solution_path
 
 
@@ -36,8 +36,11 @@ class InfeasibleTarget(ValueError):
 
 
 # Separation cutoff of the ray that certifies target outside col(X) in
-# _fiber_lp (its docstring states the test).
+# _preimage (its docstring states the test).
 RAY_RTOL = 1e-9
+# check_accessibility calls beta accessible when its margin, the fiber
+# minimum minus pen(beta), is at least -ACCESS_TOL.
+ACCESS_TOL = 1e-7
 
 
 @dataclass
@@ -45,7 +48,8 @@ class ConditionReport:
     """verdict plus the margin and certificate that recompute to it.
 
     Margin conventions:
-      accessibility-lp : lp_value - pen(beta); accessible iff >= -1e-7.
+      accessibility-lp : lp_value - pen(beta); accessible iff >= -ACCESS_TOL
+                         = -1e-7.
                          "mu" solves max (X beta)'mu s.t. X'mu in B*, and
                          "dual_point" X'mu is in B* with beta'X'mu = pen(beta)
                          when accessible; else (X beta)'mu = lp_value < pen.
@@ -108,8 +112,10 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
     """Accessibility of the pattern of beta: the gauge attains its minimum
     over the fiber {b : Xb = X beta} at beta itself.
 
-    One LP for every kind, the dual fiber LP of _fiber_lp over the ball
-    gauge._ball: max (X beta)'mu s.t. X'mu in B*.  Its value is the fiber
+    One LP for every kind, the dual fiber LP of _fiber_lp through beta over
+    the ball gauge._ball: max (X beta)'mu s.t. X'mu in B*, posed over ker X,
+    so X enters only through the null-space basis of its SVD and X -> RX
+    for an invertible R leaves the LP as it is.  Its value is the fiber
     minimum, and beta is accessible exactly when row(X) meets the
     subdifferential of beta, which X'mu then does.  The certificate holds
     the minimizer, mu and the dual point X'mu.  Custom gauges with more than
@@ -120,10 +126,10 @@ def check_accessibility(spec: GaugeSpec, x, beta) -> ConditionReport:
     pen_beta = pen_eval(spec, beta)
     if spec.kind == "custom" and spec.u.shape[0] > 4096:
         raise GeneratorBlowup("custom accessibility LP capped at 4096 generators")
-    value, witness, mu = _fiber_lp(x, x @ beta, _ball(spec))
+    value, witness, mu = _fiber_lp(_svd(x), beta, _ball(spec))
     margin = value - pen_beta
     return ConditionReport(
-        verdict=margin >= -1e-7,
+        verdict=margin >= -ACCESS_TOL,
         margin=margin,
         method="accessibility-lp",
         certificate={
@@ -342,58 +348,74 @@ def check_nrc_path(
 def min_linf_representation(x, target) -> float:
     """min ||gamma||_inf subject to X gamma = target.
 
-    One LP, the fiber LP of _fiber_lp over the sup-norm ball: for an n x p
-    design it has p - n + 1 live rows when X has full row rank.  Raises
-    InfeasibleTarget when target is outside col(X).
+    One LP, the fiber LP of _fiber_lp over the sup-norm ball through the
+    least-norm solution V_r Sigma^-1 U_r' target: for an n x p design of
+    rank r it has p - r equality rows and the simplex row (21 rows for a
+    40 x 60 fig-5 design).  Raises InfeasibleTarget when target is outside
+    col(X).
     """
     x = as_matrix(x)
-    return _fiber_lp(x, as_vector(target), _sup_ball(x.shape[1]))[0]
+    factors = _svd(x)
+    return _fiber_lp(factors, _preimage(x, factors, as_vector(target)), _sup_ball(x.shape[1]))[0]
 
 
-def _fiber_lp(x: np.ndarray, target: np.ndarray, ball: tuple) -> tuple:
-    """(min pen(b) s.t. Xb = target, a minimizer b, mu) for the gauge whose
-    dual ball is B* = {G'z : lo <= z <= hi, A z <= 1}, ball = (G, (lo, hi), A)
-    as gauge._ball states it, solved as the dual LP
+def _preimage(x: np.ndarray, factors: tuple, target: np.ndarray) -> np.ndarray:
+    """V_r Sigma^-1 U_r' target from the SVD factors of X (numerics._svd),
+    a point of the fiber {b : Xb = target}.
 
-        max target'mu  s.t.  X'mu = G'z,  lo <= z <= hi,  A z <= 1   (mu free).
-
-    The n free mu are eliminated into the p equality rows, which leaves
-    p - n + 1 live rows for the sup ball when X has full row rank (21
-    instead of 160 for a 40 x 60 fig-5 design in the primal form).  b is
-    minus the multiplier vector of the X'mu = G'z rows, and the value is
-    target'mu = pen(b).
-
-    The dual is always feasible (mu = 0, z = 0) and unbounded exactly when
-    target is outside col(X), along a ray mu with X'mu = 0 and target'mu > 0.
-    InfeasibleTarget is raised only when the ray, scaled to ||mu||_inf = 1,
-    has ||X'mu||_inf <= RAY_RTOL * (1 + max|X|) and
-    target'mu > RAY_RTOL * (1 + ||target||_inf); otherwise NumericalFailure.
+    InfeasibleTarget is raised when the ray mu = t - U_r U_r't, the part of
+    t = target outside col(X), scaled to ||mu||_inf = 1, separates target
+    from col(X): target'mu > RAY_RTOL * (1 + ||target||_inf) and
+    ||X'mu||_inf <= RAY_RTOL * (1 + max|X|).  target'mu is read as
+    (t - U_r U_r't)'mu, its value in exact arithmetic, since the round-off
+    in (U_r U_r't)'mu would swamp a ray of round-off size.  A ray that
+    passes the first test but not the second raises NumericalFailure.
     """
-    n, p = x.shape
+    u, s, v, _ = factors
+    coef = u.T @ target
+    ray = target - u @ coef
+    mu = ray / np.max(np.abs(ray), initial=np.finfo(float).tiny)
+    if float(ray @ mu) > RAY_RTOL * (1.0 + np.max(np.abs(target), initial=0.0)):
+        if np.max(np.abs(x.T @ mu), initial=0.0) > RAY_RTOL * (1.0 + np.max(np.abs(x), initial=0.0)):
+            raise linprog.NumericalFailure("the ray off col(X) does not separate target")
+        raise InfeasibleTarget("target vector is outside the column space of X")
+    return v @ (coef / s)
+
+
+def _fiber_lp(factors: tuple, point: np.ndarray, ball: tuple) -> tuple:
+    """(min pen(b) s.t. Xb = X point, a minimizer b, mu) for the gauge whose
+    dual ball is B* = {G'z : lo <= z <= hi, A z <= 1}, ball = (G, (lo, hi), A)
+    as gauge._ball states it, from the SVD factors (U_r, s_r, V_r, N) of X
+    (numerics._svd).  X enters through N alone, the basis of ker X.
+
+    The dual LP max (X point)'mu s.t. X'mu = G'z over the ball has a mu
+    exactly when G'z lies in row(X), that is N'G'z = 0, and then
+    (X point)'mu = (G point)'z.  So the LP is posed over z alone,
+
+        max (G point)'z  s.t.  (GN)'z = 0,  lo <= z <= hi,  A z <= 1,
+
+    with p - r equality rows and no free column.  It is feasible (z = 0)
+    and bounded (B* is).  Its value is pen(b) at the minimizer
+    b = point + N y, y the multiplier vector of the (GN)'z = 0 rows, and
+    mu = U_r Sigma^-1 V_r' G'z.
+    """
+    u, s, v, null = factors
     g, bounds, a = ball
     k = g.shape[0]
+    gn = g @ null
     sol = linprog.lp_solve(
         linprog.LpProblem(
-            np.concatenate([-target, np.zeros(k)]),
-            a_eq=np.hstack([x.T, -g.T]),
-            b_eq=np.zeros(p),
-            a_le=np.hstack([np.zeros((a.shape[0], n)), a]),
+            -(g @ point),
+            a_eq=gn.T,
+            b_eq=np.zeros(gn.shape[1]),
+            a_le=a,
             b_le=np.ones(a.shape[0]),
-            bounds=[(None, None)] * n + [bounds] * k,
+            bounds=[bounds] * k,
         )
     )
-    if sol.status == linprog.UNBOUNDED:
-        mu = sol.ray[:n] / np.max(np.abs(sol.ray[:n]), initial=np.finfo(float).tiny)
-        residual = np.max(np.abs(x.T @ mu), initial=0.0)
-        separation = float(target @ mu)
-        if residual <= RAY_RTOL * (1.0 + np.max(np.abs(x), initial=0.0)) and separation > RAY_RTOL * (
-            1.0 + np.max(np.abs(target), initial=0.0)
-        ):
-            raise InfeasibleTarget("target vector is outside the column space of X")
-        raise linprog.NumericalFailure("the unbounded ray of the fiber LP does not separate target")
     if sol.status != linprog.OPTIMAL:
         raise RuntimeError(f"fiber LP returned status {sol.status}")
-    return -float(sol.value), -sol.y_eq, sol.x[:n].copy()
+    return -float(sol.value), point + null @ sol.y_eq, u @ ((v.T @ (g.T @ sol.x)) / s)
 
 
 def check_uniform_uniqueness(spec: GaugeSpec, x) -> ConditionReport:

@@ -10,7 +10,8 @@ Geometry convention: variables are free unless bounds are given,
 ``a_le @ x <= b_le`` for inequalities, ``a_eq @ x = b_eq`` for equalities.
 Internally everything is rewritten to the standard form min c'z, Az = b:
 a variable bounded by exactly (0, None) is one nonnegative column whose
-bound stays implicit; every other variable is one free column, never
+bound stays implicit (no row is written for it, and the residual test
+reads x_j >= 0 off x); every other variable is one free column, never
 split, and its finite bounds become slack rows.
 
 Free columns are eliminated before phase 1.  Each is pivoted into the
@@ -176,33 +177,30 @@ class FeasibilityResult:
     bland: bool = False
 
 
-def _bounds_to_rows(problem: LpProblem):
-    """Fold variable bounds into extra a_le rows; return (a_eq,b_eq,a_le,b_le)."""
+def _bounds_to_rows(problem: LpProblem, implicit: bool = True):
+    """Fold variable bounds into extra a_le rows; return (a_eq,b_eq,a_le,b_le).
+
+    The folded rows define the convention of y_le and of Farkas vectors:
+    a_le's own rows, then per variable its row -x_j <= -lo and its row
+    x_j <= hi.  implicit=False leaves out the row -x_j <= 0 of each
+    variable bounded by exactly (0, None)."""
     n = problem.n_vars
     a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
     b_eq = problem.b_eq if problem.b_eq is not None else np.zeros(0)
-    le_rows = [problem.a_le] if problem.a_le is not None else []
-    le_rhs = [problem.b_le] if problem.b_le is not None else []
-    if problem.bounds is not None:
-        extra_rows = []
-        extra_rhs = []
-        for j, (lo, hi) in enumerate(problem.bounds):
-            if lo is not None:
-                row = np.zeros(n)
-                row[j] = -1.0
-                extra_rows.append(row)
-                extra_rhs.append(-float(lo))
-            if hi is not None:
-                row = np.zeros(n)
-                row[j] = 1.0
-                extra_rows.append(row)
-                extra_rhs.append(float(hi))
-        if extra_rows:
-            le_rows.append(np.asarray(extra_rows))
-            le_rhs.append(np.asarray(extra_rhs))
-    a_le = np.vstack(le_rows) if le_rows else np.zeros((0, n))
-    b_le = np.concatenate(le_rhs) if le_rhs else np.zeros(0)
-    return a_eq, b_eq, a_le, b_le
+    entries, rhs = [], []  # (column, sign) and right-hand side of each bound row
+    for j, (lo, hi) in enumerate(problem.bounds or []):
+        if lo is not None and (implicit or lo != 0.0 or hi is not None):
+            entries.append((j, -1.0))
+            rhs.append(-float(lo))
+        if hi is not None:
+            entries.append((j, 1.0))
+            rhs.append(float(hi))
+    rows = np.zeros((len(entries), n))
+    for i, (j, sign) in enumerate(entries):
+        rows[i, j] = sign
+    if problem.a_le is None:
+        return a_eq, b_eq, rows, np.array(rhs, dtype=float)
+    return a_eq, b_eq, np.vstack([problem.a_le, rows]), np.concatenate([problem.b_le, rhs])
 
 
 def _eliminate(t: np.ndarray, r: int, j: int):
@@ -221,7 +219,8 @@ class _StandardForm:
     its finite bounds are slack rows, as _bounds_to_rows writes them."""
 
     def __init__(self, problem: LpProblem):
-        self.folded_rows = a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem)
+        # the explicit rows alone: implicit bound rows are never written
+        self.explicit_rows = a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem, implicit=False)
         n = self.n = problem.n_vars
         nonneg = [False] * n
         # a variable's folded rows follow a_le's own rows, lower bound first
@@ -231,11 +230,11 @@ class _StandardForm:
             explicit += [not nonneg[j]] * (lo is not None) + [True] * (hi is not None)
         self.nonneg, self.explicit = np.array(nonneg, dtype=bool), np.array(explicit, dtype=bool)
         self.free = np.flatnonzero(~self.nonneg)
-        me, mi = a_eq.shape[0], int(self.explicit.sum())
+        me, mi = a_eq.shape[0], a_le.shape[0]
         a = self.a = np.zeros((me + mi, n + mi))
-        a[:me, :n], a[me:, :n] = a_eq, a_le[self.explicit]
+        a[:me, :n], a[me:, :n] = a_eq, a_le
         a[me:, n:] = np.eye(mi)
-        self.b = np.concatenate([b_eq, b_le[self.explicit]])
+        self.b = np.concatenate([b_eq, b_le])
         self.c = np.concatenate([problem.c, np.zeros(mi)])
         self.me = me
         self.slack_of_row = np.concatenate([np.full(me, -1), n + np.arange(mi)])
@@ -466,12 +465,13 @@ def _counts(sx: _Simplex) -> dict:
 
 
 def _residuals(form: _StandardForm, x: np.ndarray, y: np.ndarray, c: np.ndarray, pivots: int) -> dict:
-    """Primal residuals of x over the folded rows and the duality gap of
-    (x, y); raises NumericalFailure when one fails its RESIDUAL_RTOL test."""
+    """Primal residuals of x over the folded rows (an implicit row -x_j <= 0
+    read off x directly) and the duality gap of (x, y); raises
+    NumericalFailure when one fails its RESIDUAL_RTOL test."""
     value = float(c @ x)
-    a_eq, b_eq, a_le, b_le = form.folded_rows
+    a_eq, b_eq, a_le, b_le = form.explicit_rows
     res_eq = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
-    res_le = float(np.max(a_le @ x - b_le, initial=0.0))
+    res_le = float(max(np.max(a_le @ x - b_le, initial=0.0), np.max(-x[form.nonneg], initial=0.0)))
     gap = abs(value - float(y @ form.b)) if form.b.size else 0.0
     size = 1.0 + max(np.abs(b_eq).max(initial=0.0), np.abs(b_le).max(initial=0.0)) + np.abs(x).max(initial=0.0)
     if max(res_eq, res_le) > RESIDUAL_RTOL * size or gap > RESIDUAL_RTOL * (1.0 + abs(value)):

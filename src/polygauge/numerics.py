@@ -64,39 +64,33 @@ def pseudoinverse(a) -> np.ndarray:
     return np.linalg.pinv(a, rcond=RANK_RTOL)
 
 
+def _svd(a: np.ndarray) -> tuple:
+    """(U_r, s_r, V_r, N) with a = U_r diag(s_r) V_r' over the r singular
+    values above RANK_RTOL * sigma_max, and N (cols x (cols - r)) an
+    orthonormal basis of ker(a)."""
+    rows, cols = a.shape
+    if a.size == 0:
+        return np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0)), np.eye(cols)
+    u, s, vh = np.linalg.svd(a)
+    r = int(np.sum(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
+    return u[:, :r], s[:r], vh[:r].T.copy(), vh[r:].T.copy()
+
+
 def rank(a) -> int:
     """Numerical rank: singular values above RANK_RTOL * sigma_max."""
-    a = as_matrix(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return _svd(as_matrix(a))[1].size
 
 
 def null_space_basis(a) -> SubspaceBasis:
     """Orthonormal basis of ker(a); dimension = cols - rank(a)."""
     a = as_matrix(a)
-    p = a.shape[1]
-    if a.size == 0:
-        return SubspaceBasis(p, np.eye(p))
-    _, s, vh = np.linalg.svd(a)
-    cutoff = RANK_RTOL * s[0] if s.size and s[0] > 0 else 0.0
-    r = int(np.sum(s > cutoff))
-    return SubspaceBasis(p, vh[r:].T.copy())
+    return SubspaceBasis(a.shape[1], _svd(a)[3])
 
 
 def row_space_basis(a) -> SubspaceBasis:
     """Orthonormal basis of the row space of a."""
     a = as_matrix(a)
-    p = a.shape[1]
-    if a.size == 0:
-        return SubspaceBasis(p, np.zeros((p, 0)))
-    _, s, vh = np.linalg.svd(a)
-    cutoff = RANK_RTOL * s[0] if s.size and s[0] > 0 else 0.0
-    r = int(np.sum(s > cutoff))
-    return SubspaceBasis(p, vh[:r].T.copy())
+    return SubspaceBasis(a.shape[1], _svd(a)[2])
 
 
 def in_row_space(a, v, tol: float = 1e-8) -> bool:

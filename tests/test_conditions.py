@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,8 @@ from polygauge import (
 )
 from polygauge import conditions, linprog
 from polygauge.experiments import replication_rng
-from polygauge.gauge import GeneratorBlowup, _ball, _face_rows, _sup_ball
-from polygauge.numerics import null_space_basis, rank
+from polygauge.gauge import GeneratorBlowup, _face_rows, _sup_ball
+from polygauge.numerics import _svd, null_space_basis, rank
 from oracles import fiber_min_oracle
 from test_acceptance import STRONG_SIGNAL_X
 
@@ -183,6 +185,68 @@ def test_accessibility_certificate_carries_the_dual_point():
                 assert float((x @ beta) @ mu) < pen_beta
             verdicts.add(rep.verdict)
     assert verdicts == {True, False}
+
+
+def _mixing(rng, n, cond):
+    """An n x n matrix with singular values spread evenly in log scale from
+    1 down to 1 / cond, between two random rotations."""
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return q1 @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ q2
+
+
+@pytest.mark.parametrize("kind", ["l1", "sup"])
+def test_accessibility_is_invariant_under_row_mixing(kind):
+    # X -> RX keeps row(X), so every verdict; with X as given in the LP,
+    # cond(R) = 1e9 raised NumericalFailure on about half of all 2,186
+    # patterns.  The null space of RX carries an error of about
+    # eps * cond(RX) = 1e-7 relative, hence the 1e-5 on lp_value
+    rng = np.random.default_rng(7)
+    x0 = rng.standard_normal((4, 7))
+    spec = GaugeSpec.l1(7) if kind == "l1" else GaugeSpec.sup(7)
+    signs = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=7)))
+    signs = signs[np.any(signs != 0.0, axis=1)]  # the 2,186 nonzero patterns
+    probes = signs[rng.choice(len(signs), 150, replace=False)]
+    if kind == "sup":
+        probes[probes == 0.0] = 0.5  # the zero entries become non-maximal
+    refs = [check_accessibility(spec, x0, beta) for beta in probes]
+    assert {rep.verdict for rep in refs} == {True, False}
+    for cond in (1.0, 1e6, 1e9):
+        x = _mixing(rng, 4, cond) @ x0
+        for beta, ref in zip(probes, refs):
+            rep = check_accessibility(spec, x, beta)
+            assert rep.verdict == ref.verdict, (cond, beta)
+            value, ref_value = rep.certificate["lp_value"], ref.certificate["lp_value"]
+            assert abs(value - ref_value) <= 1e-5 * (1.0 + ref_value), (cond, beta)
+
+
+def test_fiber_lp_on_rank_deficient_and_tall_designs():
+    # X = AB of rank p - 2, with n = p + 2 or p - 1 rows: U_r and N both
+    # have fewer columns than their ambient dimension, so the readback of
+    # the minimizer and of mu is checked where neither is square
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(47)
+    for trial in range(8):
+        p = int(rng.integers(4, 7))
+        n, r = (p + 2 if trial % 2 else p - 1), p - 2
+        x = rng.standard_normal((n, r)) @ rng.standard_normal((r, p))
+        assert rank(x) == r
+        beta = rng.standard_normal(p) * rng.integers(0, 2, size=p)
+        y = x @ beta
+        for spec in _oracle_specs(rng, p):
+            rep = check_accessibility(spec, x, beta)
+            value, b, mu = (rep.certificate[key] for key in ("lp_value", "minimizer", "mu"))
+            ref = fiber_min_oracle(spec, x, y)
+            assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref)), (trial, spec.kind)
+            assert np.max(np.abs(x @ b - y)) <= 1e-9 * (1.0 + np.max(np.abs(y)))
+            assert abs(pen_eval(spec, b) - value) <= 1e-9 * (1.0 + value)
+            assert abs(float(y @ mu) - value) <= 1e-9 * (1.0 + value)
+            assert dual_feasibility(spec, rep.certificate["dual_point"]) <= 1e-9
+        target = x @ rng.standard_normal(p)
+        ref = fiber_min_oracle(GaugeSpec.sup(p), x, target)
+        assert abs(min_linf_representation(x, target) - ref) <= 1e-9 * max(1.0, ref)
+        with pytest.raises(InfeasibleTarget):
+            min_linf_representation(x, target + null_space_basis(x.T).vectors[:, 0])
 
 
 def test_accessibility_margin_reported():
@@ -413,7 +477,8 @@ def test_min_linf_dual_form_matches_highs():
     ones = np.ones((p, 1))
     a_ub = np.vstack([np.hstack([np.eye(p), -ones]), np.hstack([-np.eye(p), -ones])])
     for _, x, target in _fig5_draws(4):
-        value, gamma, _ = conditions._fiber_lp(x, target, _sup_ball(p))
+        factors = _svd(x)
+        value, gamma, _ = conditions._fiber_lp(factors, conditions._preimage(x, factors, target), _sup_ball(p))
         assert value == min_linf_representation(x, target)
         ref = highs(np.append(np.zeros(p), 1.0), A_ub=a_ub, b_ub=np.zeros(2 * p),
                     A_eq=np.hstack([x, np.zeros((n, 1))]), b_eq=target,
@@ -449,9 +514,9 @@ def test_dual_form_target_outside_column_space():
     target[-1] += 1.0
     with pytest.raises(InfeasibleTarget):
         min_linf_representation(x, target)
-    for spec in (GaugeSpec.custom(_sup_rows(60)), GaugeSpec.l1(60)):  # simplex and box balls
-        with pytest.raises(InfeasibleTarget):
-            conditions._fiber_lp(x, target, _ball(spec))
+    # decided from the SVD before any LP, so for every ball
+    with pytest.raises(InfeasibleTarget):
+        conditions._preimage(x, _svd(x), target)
     # D' of a difference matrix misses the constants: 0 is never a minimizer
     for spec in (GaugeSpec.tv(6), GaugeSpec.tf(6)):
         assert zero_threshold(spec, np.eye(6), np.ones(6)) == float("inf")
@@ -480,20 +545,26 @@ def _fig5_solutions(monkeypatch) -> list:
 
 
 def test_fig5_representation_pivot_budget(monkeypatch):
-    """The dual form keeps p - n + 1 = 21 live rows: a fig-5 LP takes about
-    95 pivots (the split primal form took about 170 on 160 rows)."""
+    """The fiber LP over ker X has p - n + 1 = 21 rows: a fig-5 LP takes
+    about 55 pivots (the split primal form took about 170 on 160 rows)."""
     pivots = [sol.iterations for sol in _fig5_solutions(monkeypatch)]
     assert np.median(pivots) <= 150
 
 
 def test_fig5_dual_lp_makes_no_phase1_pivot(monkeypatch):
-    # the crash basis mu = 0, z = 0 is feasible: b = 0 on the p equality
-    # rows and 1 on the simplex row.  Phase 1 run to optimality made about
-    # 50 degenerate pivots on each draw, about 125 in total; stopped at once
-    # the LP takes about 95, the drive-out of 20 artificials included
+    # the crash basis z = 0 is feasible: b = 0 on the p - n equality rows
+    # and 1 on the simplex row.  Phase 1 run to optimality made about 50
+    # degenerate pivots on each draw, about 125 in total; stopped at once
+    # the LP took about 95, 40 eliminations of the free mu included.  Posed
+    # over ker X it has no free column and takes about 55, the drive-out
+    # of 20 artificials included
+    forms = []
+    standard_form = linprog._StandardForm
+    monkeypatch.setattr(linprog, "_StandardForm", lambda problem: forms.append(standard_form(problem)) or forms[-1])
     sols = _fig5_solutions(monkeypatch)
+    assert len(forms) == 18 and all(form.free.size == 0 for form in forms)
     assert all(sol.phase1_pivots == 0 and not sol.bland for sol in sols)
-    assert np.median([sol.iterations for sol in sols]) <= 105
+    assert np.median([sol.iterations for sol in sols]) <= 65
 
 
 def test_slope30_accessibility_matches_oracle():

@@ -365,6 +365,22 @@ def test_optimum_failing_its_residuals_raises(monkeypatch):
         linprog._residuals(form, sol.x, y, prob.c, sol.iterations)
 
 
+def test_implicit_bounds_write_no_row():
+    # x >= 0 on two columns and a box on the third: the standard form holds
+    # the equality row and the box's two rows only, the multipliers still
+    # cover every folded row, and a negative x_j fails the residual test
+    prob = LpProblem(np.array([1.0, 2.0, -1.0]), a_eq=np.ones((1, 3)), b_eq=np.array([1.0]),
+                     bounds=[(0.0, None), (0.0, None), (-1.0, 0.5)])
+    form = linprog._StandardForm(prob)
+    assert form.a.shape == (3, 5)
+    sol = lp_solve(prob)
+    assert sol.status == OPTIMAL and abs(sol.value) <= 1e-12
+    assert sol.y_le.shape == (4,)
+    check_lp_certificate(prob, sol)
+    with pytest.raises(linprog.NumericalFailure, match="primal_le"):
+        linprog._residuals(form, np.array([0.5 + 1e-6, -1e-6, 0.5]), np.zeros(3), np.zeros(3), 0)
+
+
 # ---------------------------------------------------------------------------
 # phase 1 stops at the first feasible basis; the drive-out takes the largest entry
 
