@@ -177,30 +177,42 @@ class FeasibilityResult:
     bland: bool = False
 
 
-def _bounds_to_rows(problem: LpProblem, implicit: bool = True):
-    """Fold variable bounds into extra a_le rows; return (a_eq,b_eq,a_le,b_le).
+def _fold_bounds(problem: LpProblem, implicit: np.ndarray) -> tuple:
+    """Fold variable bounds into extra a_le rows; return
+    (a_eq, b_eq, a_le, b_le, written).
 
     The folded rows define the convention of y_le and of Farkas vectors:
     a_le's own rows, then per variable its row -x_j <= -lo and its row
-    x_j <= hi.  implicit=False leaves out the row -x_j <= 0 of each
-    variable bounded by exactly (0, None)."""
+    x_j <= hi.  The lower-bound row of each variable j with implicit[j]
+    is left out of a_le and b_le; written masks the folded rows kept."""
     n = problem.n_vars
     a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
     b_eq = problem.b_eq if problem.b_eq is not None else np.zeros(0)
-    entries, rhs = [], []  # (column, sign) and right-hand side of each bound row
+    own = 0 if problem.a_le is None else problem.a_le.shape[0]
+    written = [True] * own
+    entries, rhs = [], []  # (column, sign) and right-hand side of each written bound row
     for j, (lo, hi) in enumerate(problem.bounds or []):
-        if lo is not None and (implicit or lo != 0.0 or hi is not None):
-            entries.append((j, -1.0))
-            rhs.append(-float(lo))
+        if lo is not None:
+            written.append(not implicit[j])
+            if not implicit[j]:
+                entries.append((j, -1.0))
+                rhs.append(-float(lo))
         if hi is not None:
+            written.append(True)
             entries.append((j, 1.0))
             rhs.append(float(hi))
     rows = np.zeros((len(entries), n))
     for i, (j, sign) in enumerate(entries):
         rows[i, j] = sign
+    written = np.array(written, dtype=bool)
     if problem.a_le is None:
-        return a_eq, b_eq, rows, np.array(rhs, dtype=float)
-    return a_eq, b_eq, np.vstack([problem.a_le, rows]), np.concatenate([problem.b_le, rhs])
+        return a_eq, b_eq, rows, np.array(rhs, dtype=float), written
+    return a_eq, b_eq, np.vstack([problem.a_le, rows]), np.concatenate([problem.b_le, rhs]), written
+
+
+def _bounds_to_rows(problem: LpProblem):
+    """Every folded row, implicit bound rows included: (a_eq, b_eq, a_le, b_le)."""
+    return _fold_bounds(problem, np.zeros(problem.n_vars, dtype=bool))[:4]
 
 
 def _eliminate(t: np.ndarray, r: int, j: int):
@@ -216,19 +228,15 @@ class _StandardForm:
     """min c'z, Az = b for an LpProblem, z >= 0 except on the free columns.
     A variable bounded by exactly (0, None) is one nonnegative column whose
     bound row stays implicit; every other variable is one free column and
-    its finite bounds are slack rows, as _bounds_to_rows writes them."""
+    its finite bounds are slack rows, as _fold_bounds writes them."""
 
     def __init__(self, problem: LpProblem):
-        # the explicit rows alone: implicit bound rows are never written
-        self.explicit_rows = a_eq, b_eq, a_le, b_le = _bounds_to_rows(problem, implicit=False)
         n = self.n = problem.n_vars
-        nonneg = [False] * n
-        # a variable's folded rows follow a_le's own rows, lower bound first
-        explicit = [True] * (0 if problem.a_le is None else problem.a_le.shape[0])
-        for j, (lo, hi) in enumerate(problem.bounds or []):
-            nonneg[j] = lo == 0.0 and hi is None
-            explicit += [not nonneg[j]] * (lo is not None) + [True] * (hi is not None)
-        self.nonneg, self.explicit = np.array(nonneg, dtype=bool), np.array(explicit, dtype=bool)
+        bounds = problem.bounds or [(None, None)] * n
+        self.nonneg = np.array([lo == 0.0 and hi is None for lo, hi in bounds], dtype=bool)
+        # the explicit rows alone: implicit bound rows are never written
+        a_eq, b_eq, a_le, b_le, self.explicit = _fold_bounds(problem, self.nonneg)
+        self.explicit_rows = a_eq, b_eq, a_le, b_le
         self.free = np.flatnonzero(~self.nonneg)
         me, mi = a_eq.shape[0], a_le.shape[0]
         a = self.a = np.zeros((me + mi, n + mi))

@@ -64,21 +64,28 @@ def pseudoinverse(a) -> np.ndarray:
     return np.linalg.pinv(a, rcond=RANK_RTOL)
 
 
+def _rank_of(s: np.ndarray) -> int:
+    """Number of singular values s (descending) above RANK_RTOL * sigma_max."""
+    return int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+
+
 def _svd(a: np.ndarray) -> tuple:
     """(U_r, s_r, V_r, N) with a = U_r diag(s_r) V_r' over the r singular
     values above RANK_RTOL * sigma_max, and N (cols x (cols - r)) an
-    orthonormal basis of ker(a)."""
+    orthonormal basis of ker(a).  U is full only for wide a, so a tall a
+    costs O(rows * cols^2) and never a rows x rows factor."""
     rows, cols = a.shape
     if a.size == 0:
         return np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0)), np.eye(cols)
-    u, s, vh = np.linalg.svd(a)
-    r = int(np.sum(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
+    u, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
+    r = _rank_of(s)
     return u[:, :r], s[:r], vh[:r].T.copy(), vh[r:].T.copy()
 
 
 def rank(a) -> int:
     """Numerical rank: singular values above RANK_RTOL * sigma_max."""
-    return _svd(as_matrix(a))[1].size
+    a = as_matrix(a)
+    return _rank_of(np.linalg.svd(a, compute_uv=False)) if a.size else 0
 
 
 def null_space_basis(a) -> SubspaceBasis:

@@ -373,6 +373,7 @@ def test_implicit_bounds_write_no_row():
                      bounds=[(0.0, None), (0.0, None), (-1.0, 0.5)])
     form = linprog._StandardForm(prob)
     assert form.a.shape == (3, 5)
+    assert form.explicit.tolist() == [False, False, True, True]
     sol = lp_solve(prob)
     assert sol.status == OPTIMAL and abs(sol.value) <= 1e-12
     assert sol.y_le.shape == (4,)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,15 @@ from polygauge import (
     in_row_space,
     null_space_basis,
     pseudoinverse,
+    GaugeSpec,
     rank,
     read_matrix,
+    subdifferential_face,
     read_vector,
     write_matrix,
     write_vector,
 )
+from polygauge.numerics import row_space_basis
 
 
 def test_pseudoinverse_identity():
@@ -66,6 +71,22 @@ def test_rank_nullity_random():
         m, n = rng.integers(1, 8, size=2)
         a = rng.standard_normal((m, n))
         assert rank(a) + null_space_basis(a).dim == n
+
+
+def test_tall_rank_and_bases_never_form_the_row_factor():
+    # a face of B* at the origin has thousands of vertices: its rank and the
+    # bases of a tall matrix must not cost a rows x rows factor (134 MB here)
+    rng = np.random.default_rng(4)
+    tall = rng.standard_normal((4095, 3)) @ rng.standard_normal((3, 12))
+    tracemalloc.start()
+    try:
+        face = subdifferential_face(GaugeSpec.l1(12), np.zeros(12))
+        assert (rank(tall), null_space_basis(tall).dim, row_space_basis(tall).dim) == (3, 9, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert face.dimension == 12 and len(face.vertices) > 4000
+    assert peak < 16e6
 
 
 def test_in_row_space_identity():
